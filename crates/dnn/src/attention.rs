@@ -514,23 +514,34 @@ mod tests {
         // (SDDMM -> masked softmax over compressed scores -> P·V) must
         // reproduce the dense chain (full scores, -inf masking,
         // softmax_rows, dense P·V) bit for bit — under each mask kind,
-        // with sparsified projections in the loop.
-        let mut mha = MultiHeadAttention::dense(64, 4, 41);
-        mha.sparsify(&engine(), VnmConfig::new(16, 2, 4));
-        let x = random::activation_matrix(24, 64, 42);
-        for mask in [
-            AttentionMask::Causal,
-            AttentionMask::SlidingWindow { window: 5 },
-            AttentionMask::Blockwise { block: 8 },
-        ] {
-            let attn = SparseAttention::from_mha(mha.clone(), &engine(), 24, &mask)
-                .unwrap_or_else(|e| panic!("{mask}: {e}"));
-            let planned = attn.forward(&x);
-            let dense = mha.forward_masked(&x, &mask);
-            assert_eq!(planned, dense, "{mask}: planned pipeline drifted");
-            // The per-call baseline (what the bench floor compares
-            // against) agrees too.
-            assert_eq!(attn.forward_percall(&x), dense, "{mask}: per-call drifted");
+        // with sparsified projections in the loop. The shapes reach the
+        // planned loop's edges: a single row, rows spanning several
+        // 32-key blocks, head widths that are not a multiple of the
+        // 16-column P·V chunk (12) or fill it exactly (64), and windows
+        // and blocks whose key ranges start off 32-key alignment.
+        for (hidden, heads) in [(64, 4), (48, 4), (128, 2)] {
+            let mut mha = MultiHeadAttention::dense(hidden, heads, 41);
+            mha.sparsify(&engine(), VnmConfig::new(16, 2, 4));
+            for seq in [1, 24, 100] {
+                let x = random::activation_matrix(seq, hidden, 42);
+                for mask in [
+                    AttentionMask::Causal,
+                    AttentionMask::SlidingWindow { window: 5 },
+                    AttentionMask::SlidingWindow { window: 40 },
+                    AttentionMask::Blockwise { block: 8 },
+                    AttentionMask::Blockwise { block: 48 },
+                ] {
+                    let case = format!("{mask}, seq {seq}, d_head {}", hidden / heads);
+                    let attn = SparseAttention::from_mha(mha.clone(), &engine(), seq, &mask)
+                        .unwrap_or_else(|e| panic!("{case}: {e}"));
+                    let planned = attn.forward(&x);
+                    let dense = mha.forward_masked(&x, &mask);
+                    assert_eq!(planned, dense, "{case}: planned pipeline drifted");
+                    // The per-call baseline (what the bench floor compares
+                    // against) agrees too.
+                    assert_eq!(attn.forward_percall(&x), dense, "{case}: per-call drifted");
+                }
+            }
         }
     }
 

@@ -49,6 +49,39 @@ pub fn decode_f32_vec(src: &[Half]) -> Vec<f32> {
     src.iter().map(|s| table[s.to_bits() as usize]).collect()
 }
 
+/// Rounds every value to the nearest binary16 and widens it back, in
+/// place: element for element the bits of `Half::from_f32(x).to_f32()`
+/// (round to nearest, ties to even; overflow to infinity; NaN payloads
+/// truncated as [`crate::f32_to_f16_bits`] does), computed with integer
+/// and float selects instead of branches so the loop vectorizes.
+pub fn round_through_f16(xs: &mut [f32]) {
+    for x in xs.iter_mut() {
+        let bits = x.to_bits();
+        let abs = bits & 0x7FFF_FFFF;
+        // Normal f16 range: round the mantissa to 10 bits, ties to even;
+        // a carry out of the mantissa lands in the exponent.
+        let normal = (abs + 0x0FFF + ((abs >> 13) & 1)) & 0xFFFF_E000;
+        // Below the smallest normal (2^-14) the f16 grid is a fixed
+        // 2^-24, which is the f32 ulp of 0.5: adding and removing 0.5
+        // rounds to that grid, ties to even.
+        let subnormal = ((f32::from_bits(abs) + 0.5) - 0.5).to_bits();
+        // 65520 and up rounds to infinity; a NaN keeps its top 10
+        // payload bits, or gets the lowest one if those are all zero.
+        let payload = abs & 0x007F_E000;
+        let nan = 0x7F80_0000 | payload | u32::from(payload == 0) << 13;
+        let rounded = if abs > 0x7F80_0000 {
+            nan
+        } else if abs >= 0x477F_F000 {
+            0x7F80_0000
+        } else if abs < 0x3880_0000 {
+            subnormal
+        } else {
+            normal
+        };
+        *x = f32::from_bits(rounded | (bits & 0x8000_0000));
+    }
+}
+
 /// Dot product with `f32` accumulation (tensor-core numerics).
 ///
 /// # Panics
@@ -151,6 +184,26 @@ mod tests {
         let src = [Half::ONE];
         let mut dst = vec![0.0f32; 2];
         decode_f32_into(&src, &mut dst);
+    }
+
+    #[test]
+    fn round_through_f16_matches_the_reference_conversion_bitwise() {
+        // Every 16-bit high half (every exponent, sign and top mantissa
+        // bits) with low halves at the rounding boundaries and between.
+        let mut xs = Vec::new();
+        for hi in 0..=u16::MAX as u32 {
+            for lo in [
+                0u32, 1, 0x0FFF, 0x1000, 0x1001, 0x1FFF, 0x2000, 0x7FFF, 0xFFFF,
+            ] {
+                xs.push(f32::from_bits(hi << 16 | lo));
+            }
+        }
+        let mut rounded = xs.clone();
+        round_through_f16(&mut rounded);
+        for (&x, &r) in xs.iter().zip(&rounded) {
+            let want = Half::from_f32(x).to_f32();
+            assert_eq!(r.to_bits(), want.to_bits(), "{:#010x}", x.to_bits());
+        }
     }
 
     #[test]

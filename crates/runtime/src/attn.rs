@@ -13,7 +13,7 @@
 //! * [`AttentionMask`] — dynamic per-request masks (causal,
 //!   sliding-window, blockwise) as first-class values. A mask is a
 //!   predicate, not a matrix: the dense path applies it in place and the
-//!   planned path condenses it into a gather order, so no `O(seq²)` mask
+//!   planned path walks its per-row key ranges, so no `O(seq²)` mask
 //!   storage ever materializes.
 //! * [`SddmmPlan`] — stage `K` once (the exact f16→f32 decode the
 //!   one-shot kernel performs per call), replay per head or request.
@@ -31,6 +31,7 @@
 //! flip-on-cost discipline as `plan_auto`, no thresholds.
 
 use crate::matmul::PlanError;
+use crate::serve::sync::lock_recover;
 use crate::serve::PlanKey;
 use crate::MatmulDescriptor;
 use rayon::prelude::*;
@@ -39,7 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use venom_core::{sddmm_counts, sddmm_counts_swapped};
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
-use venom_fp16::{f16_to_f32_table, f32_to_f16_bits, Half};
+use venom_fp16::slice::round_through_f16;
+use venom_fp16::{f16_to_f32_table, Half};
 use venom_sim::pipeline::{simulate, KernelCounts, KernelTiming};
 use venom_sim::{DeviceConfig, Regime, Roofline};
 use venom_tensor::Matrix;
@@ -82,8 +84,8 @@ impl AttentionMask {
 
     /// The contiguous range of key columns row `r` attends to at
     /// sequence length `seq`. Every supported mask kind is contiguous
-    /// per row, which is what lets the planned path store a condensed
-    /// gather order instead of a bitmap.
+    /// per row, which is what lets the planned attention path keep no
+    /// gather plane or bitmap at all.
     pub fn row_range(&self, r: usize, seq: usize) -> core::ops::Range<usize> {
         match *self {
             AttentionMask::Causal => 0..(r + 1).min(seq),
@@ -424,12 +426,25 @@ fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     acc
 }
 
+/// Keys per `QKᵀ` step: one accumulator per key, so a step advances 32
+/// independent score chains across the vector lanes instead of one long
+/// `d`-step chain per score.
+const KEY_BLOCK: usize = 32;
+
+/// Output columns one `P·V` chunk keeps in registers.
+const PV_CHUNK: usize = 16;
+
 /// A planned attention pipeline for one `(seq, hidden, heads, mask)`
-/// shape: SDDMM over the mask's condensed gather order, softmax over the
-/// compressed scores, `P·V` over the same order — never materializing
+/// shape: SDDMM over the mask's per-row key ranges, softmax over the
+/// compressed scores, `P·V` over the same keys — never materializing
 /// the dense `seq x seq` score matrix, yet bit-identical to the dense
 /// reference chain at every unmasked position (masked positions
 /// contribute exactly-zero terms the dense order already absorbs).
+///
+/// Every mask kind is one contiguous key range per row
+/// ([`AttentionMask::row_range`]), so the plan keeps no gather plane —
+/// only the `O(seq)` prefix of sampled keys per row, which splits the
+/// rows into equal-work ranges across threads.
 #[derive(Clone, Debug)]
 pub struct AttentionPlan {
     seq: usize,
@@ -437,9 +452,8 @@ pub struct AttentionPlan {
     heads: usize,
     d_head: usize,
     mask: AttentionMask,
-    /// Condensed gather order over the `seq x seq` score matrix.
-    row_ptr: Vec<u32>,
-    cols: Vec<u32>,
+    /// `row_prefix[r]` = sampled keys in rows `0..r` (length `seq + 1`).
+    row_prefix: Vec<usize>,
     scale: f32,
     path: SddmmPath,
     counts: KernelCounts,
@@ -474,23 +488,20 @@ impl AttentionPlan {
         }
         let d_head = hidden / heads;
 
-        let mut row_ptr = Vec::with_capacity(seq + 1);
-        let mut cols = Vec::with_capacity(mask.nnz(seq));
-        row_ptr.push(0u32);
+        let mut row_prefix = Vec::with_capacity(seq + 1);
+        row_prefix.push(0);
         for r in 0..seq {
-            cols.extend(mask.row_range(r, seq).map(|c| c as u32));
-            row_ptr.push(cols.len() as u32);
+            row_prefix.push(row_prefix[r] + mask.row_range(r, seq).len());
         }
 
-        let (path, counts, timing) = attn_price(seq, d_head, heads, cols.len(), mask, dev);
+        let (path, counts, timing) = attn_price(seq, d_head, heads, row_prefix[seq], mask, dev);
         Ok(AttentionPlan {
             seq,
             hidden,
             heads,
             d_head,
             mask,
-            row_ptr,
-            cols,
+            row_prefix,
             scale: 1.0 / (d_head as f32).sqrt(),
             path,
             counts,
@@ -504,11 +515,16 @@ impl AttentionPlan {
     /// (`gemm_parallel` scores, in-place mask, `softmax_rows`,
     /// `gemm_parallel` context) at every position.
     ///
+    /// One pass over all heads: the operands are staged once (in
+    /// parallel by head), then one parallel region splits the rows into
+    /// per-thread ranges of equal sampled-key count, and each thread runs
+    /// every head of its rows with its own reusable score buffers.
+    ///
     /// # Panics
     /// Panics when the operand shapes disagree with the planned
     /// `(seq, hidden)`.
     pub fn attention(&self, q: &Matrix<f32>, k: &Matrix<f32>, v: &Matrix<f32>) -> Matrix<f32> {
-        let (seq, hidden, d) = (self.seq, self.hidden, self.d_head);
+        let (seq, hidden) = (self.seq, self.hidden);
         for (name, m) in [("Q", q), ("K", k), ("V", v)] {
             assert_eq!(
                 (m.rows(), m.cols()),
@@ -516,91 +532,132 @@ impl AttentionPlan {
                 "{name} shape must match the planned (seq, hidden)"
             );
         }
-        let table = f16_to_f32_table();
-        // Round through f16 and decode exactly — per element the same
-        // value the dense path's `.to_half()` + staged decode produces.
-        let stage = |m: &Matrix<f32>, c0: usize, buf: &mut [f32]| {
-            for r in 0..seq {
-                let row = &m.row(r)[c0..c0 + d];
-                for (kk, &x) in row.iter().enumerate() {
-                    buf[r * d + kk] = table[f32_to_f16_bits(x) as usize];
-                }
-            }
-        };
-        let mut ctx = Matrix::<f32>::zeros(seq, hidden);
-        let mut qh = vec![0.0f32; seq * d];
-        let mut kh = vec![0.0f32; seq * d];
-        let mut vh = vec![0.0f32; seq * d];
-        for h in 0..self.heads {
-            let c0 = h * d;
-            let timer = venom_obs::profile::PhaseTimer::start();
-            stage(q, c0, &mut qh);
-            stage(k, c0, &mut kh);
-            stage(v, c0, &mut vh);
-            timer.stop("attention", "stage", (3 * seq * d * 4) as u64);
-            let timer = venom_obs::profile::PhaseTimer::start();
-            let (qh, kh, vh) = (&qh, &kh, &vh);
-            ctx.as_mut_slice()
-                .par_chunks_mut(hidden)
-                .enumerate()
-                .for_each(|(r, orow)| {
-                    let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                    let sampled = &self.cols[lo..hi];
-                    let qrow = &qh[r * d..(r + 1) * d];
-                    // Scores at the sampled positions, in ascending
-                    // column order — the dense accumulation order minus
-                    // the masked entries (whose -inf scores the dense
-                    // path writes and then reduces to exact zeros).
-                    let mut s: Vec<f32> = sampled
-                        .iter()
-                        .map(|&c| {
-                            let kcol = &kh[c as usize * d..(c as usize + 1) * d];
-                            dot_f32(qrow, kcol) * self.scale
-                        })
-                        .collect();
-                    // Masked softmax over the compressed row. The row
-                    // max over sampled entries equals the dense row max
-                    // (masked entries are -inf); masked exp terms are
-                    // +0.0 and leave the dense running sum bit-exact.
-                    let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                    let out = &mut orow[c0..c0 + d];
-                    if max == f32::NEG_INFINITY {
-                        // Fully-masked (or empty) row: the dense guarded
-                        // softmax yields zeros, so P·V contributes
-                        // nothing and the context row stays zero.
-                        return;
-                    }
-                    let mut sum = 0.0f32;
-                    for sv in s.iter_mut() {
-                        *sv = (*sv - max).exp();
-                        sum += *sv;
-                    }
-                    // P·V over the same gather order: probabilities
-                    // round through f16 exactly as the dense path's
-                    // `probs.to_half()`, and exact-zero probabilities
-                    // are skipped — the dense kernel skips them too.
-                    for (sv, &c) in s.iter().zip(sampled) {
-                        let p = Half::from_f32(*sv / sum);
-                        if p.is_zero() {
-                            continue;
-                        }
-                        let pv = table[p.to_bits() as usize];
-                        let vrow = &vh[c as usize * d..(c as usize + 1) * d];
-                        for (o, &x) in out.iter_mut().zip(vrow) {
-                            *o += pv * x;
-                        }
-                    }
-                });
-            // Per-head compulsory traffic: the staged K and V panels,
-            // the context slice written once, and the condensed index
-            // planes driving the gather.
-            timer.stop(
-                "attention",
-                "mma",
-                (3 * seq * d * 4 + self.cols.len() * 4 + self.row_ptr.len() * 4) as u64,
-            );
+        if hidden == 0 {
+            // No head columns: nothing to stage, and zero-width panels
+            // cannot be chunked by head.
+            return Matrix::zeros(seq, 0);
         }
+        let timer = venom_obs::profile::PhaseTimer::start();
+        let panels = self.stage(q, k, v);
+        // The three operands, each read once for all heads.
+        timer.stop("attention", "stage", (3 * seq * hidden * 4) as u64);
+
+        let timer = venom_obs::profile::PhaseTimer::start();
+        let mut ctx = Matrix::<f32>::zeros(seq, hidden);
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut rest = ctx.as_mut_slice();
+        let mut jobs = Vec::with_capacity(threads);
+        for rows in balanced_row_ranges(&self.row_prefix, threads) {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(rows.len() * hidden);
+            jobs.push((rows, out));
+            rest = tail;
+        }
+        jobs.into_par_iter()
+            .for_each(|(rows, out)| self.attend_rows(&panels, rows, out));
+        // Compulsory traffic of the one pass: the staged panels read once
+        // and the context written once — no index planes.
+        timer.stop(
+            "attention",
+            "mma",
+            ((panels.len() + seq * hidden) * 4) as u64,
+        );
         ctx
+    }
+
+    /// Floats one head occupies in the staged panels: the Q and V row
+    /// panels, then the key-blocked transposed K panel.
+    fn head_stride(&self) -> usize {
+        let blocks = self.seq.div_ceil(KEY_BLOCK);
+        2 * self.seq * self.d_head + blocks * self.d_head * KEY_BLOCK
+    }
+
+    /// Rounds `Q`, `K` and `V` through f16 and decodes them exactly —
+    /// per element the value the dense path's `.to_half()` plus staged
+    /// decode produces — into per-head panels, in parallel by head.
+    ///
+    /// Head `h` holds `q[r * d + kk]`, `v[r * d + kk]`, and K blocked by
+    /// 32 keys and transposed within the block:
+    /// `kt[(b * d + kk) * 32 + j] = K[32 b + j][h d + kk]`, with the lanes
+    /// past `seq` left zero. A plain `[d][seq]` transpose would put the
+    /// `d` rows one key block reads `4 * seq` bytes apart, aliasing in L1.
+    fn stage(&self, q: &Matrix<f32>, k: &Matrix<f32>, v: &Matrix<f32>) -> Vec<f32> {
+        let (seq, d) = (self.seq, self.d_head);
+        let mut panels = vec![0.0f32; self.heads * self.head_stride()];
+        panels
+            .par_chunks_mut(self.head_stride())
+            .enumerate()
+            .for_each(|(h, panel)| {
+                let cols = h * d..(h + 1) * d;
+                let (qh, rest) = panel.split_at_mut(seq * d);
+                let (vh, kt) = rest.split_at_mut(seq * d);
+                let mut krow = vec![0.0f32; d];
+                for r in 0..seq {
+                    let rows = r * d..(r + 1) * d;
+                    qh[rows.clone()].copy_from_slice(&q.row(r)[cols.clone()]);
+                    round_through_f16(&mut qh[rows.clone()]);
+                    vh[rows.clone()].copy_from_slice(&v.row(r)[cols.clone()]);
+                    round_through_f16(&mut vh[rows]);
+                    krow.copy_from_slice(&k.row(r)[cols.clone()]);
+                    round_through_f16(&mut krow);
+                    let (b, j) = (r / KEY_BLOCK, r % KEY_BLOCK);
+                    for (kk, &x) in krow.iter().enumerate() {
+                        kt[(b * d + kk) * KEY_BLOCK + j] = x;
+                    }
+                }
+            });
+        panels
+    }
+
+    /// Every head of query rows `rows`, written into `out` (those rows
+    /// of the context, row-major).
+    fn attend_rows(&self, panels: &[f32], rows: core::ops::Range<usize>, out: &mut [f32]) {
+        let (seq, hidden, d) = (self.seq, self.hidden, self.d_head);
+        let widest = rows
+            .clone()
+            .map(|r| self.mask.row_range(r, seq).len())
+            .max()
+            .unwrap_or(0);
+        let mut scores = vec![0.0f32; widest];
+        let mut probs = vec![(0.0f32, 0u32); widest];
+        for (h, panel) in panels.chunks_exact(self.head_stride()).enumerate() {
+            let (qh, rest) = panel.split_at(seq * d);
+            let (vh, kt) = rest.split_at(seq * d);
+            for r in rows.clone() {
+                let keys = self.mask.row_range(r, seq);
+                let s = &mut scores[..keys.len()];
+                score_row(&qh[r * d..(r + 1) * d], kt, keys.clone(), self.scale, s);
+                // Masked softmax over the compressed row. The row max
+                // over sampled entries equals the dense row max (masked
+                // entries are -inf); masked exp terms are +0.0 and leave
+                // the dense running sum bit-exact.
+                let max = s.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                if max == f32::NEG_INFINITY {
+                    // Fully-masked (or empty) row: the dense guarded
+                    // softmax yields zeros, so P·V contributes nothing
+                    // and the context row stays zero.
+                    continue;
+                }
+                let mut sum = 0.0f32;
+                for sv in s.iter_mut() {
+                    *sv = (*sv - max).exp();
+                    sum += *sv;
+                }
+                // Probabilities round through f16 exactly as the dense
+                // path's `probs.to_half()`, and exact-zero probabilities
+                // are skipped — the dense kernel skips them too.
+                for sv in s.iter_mut() {
+                    *sv /= sum;
+                }
+                round_through_f16(s);
+                let mut kept = 0;
+                for (&p, c) in s.iter().zip(keys) {
+                    probs[kept] = (p, c as u32);
+                    kept += usize::from(p != 0.0);
+                }
+                let base = (r - rows.start) * hidden + h * d;
+                pv_row(&probs[..kept], vh, d, &mut out[base..base + d]);
+            }
+        }
     }
 
     /// The mask the plan was condensed from.
@@ -615,7 +672,7 @@ impl AttentionPlan {
 
     /// Sampled score positions per head.
     pub fn nnz(&self) -> usize {
-        self.cols.len()
+        self.row_prefix[self.seq]
     }
 
     /// Fraction of the dense `seq x seq` score matrix the plan computes.
@@ -653,9 +710,9 @@ impl AttentionPlan {
         self.roofline(dev).regime()
     }
 
-    /// Approximate resident bytes (the condensed gather order).
+    /// Approximate resident bytes (the per-row sampled-key prefix).
     pub fn approx_bytes(&self) -> usize {
-        self.cols.len() * 4 + self.row_ptr.len() * 4
+        self.row_prefix.len() * core::mem::size_of::<usize>()
     }
 
     /// The cache key for this plan's `(shape, mask)` pair.
@@ -672,6 +729,97 @@ pub fn attention_key(seq: usize, hidden: usize, heads: usize, mask: &AttentionMa
     let desc = MatmulDescriptor::new(seq, hidden).with_b_cols(seq);
     let mix = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01b3);
     PlanKey::bare(desc).with_salt(mix(mask.salt(), heads as u64))
+}
+
+/// Splits rows `0..prefix.len() - 1` into at most `parts` contiguous
+/// ranges holding about equal shares of the sampled keys (`prefix` is
+/// the per-row running count). Equal row counts would not balance: under
+/// a causal mask the last rows carry most of the keys.
+fn balanced_row_ranges(prefix: &[usize], parts: usize) -> Vec<core::ops::Range<usize>> {
+    let rows = prefix.len() - 1;
+    let total = prefix[rows];
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    for t in 1..=parts {
+        let end = if t == parts {
+            rows
+        } else {
+            prefix
+                .partition_point(|&p| p < total * t / parts)
+                .clamp(start, rows)
+        };
+        if end > start {
+            ranges.push(start..end);
+            start = end;
+        }
+    }
+    ranges
+}
+
+/// Scaled scores of one query row against keys `keys`, into `s`.
+///
+/// Works one 32-key block of the blocked panel `kt` at a time with one
+/// accumulator per key, so each score keeps the scalar chain of the
+/// dense reference: start at `0.0`, add `q[kk] * k[kk]` in `kk` order,
+/// then multiply by `scale` (no fused multiply-add, which would round
+/// differently). A block the range covers only in part still runs all
+/// 32 lanes; each lane is its own chain, so the kept lanes are the same
+/// bits.
+fn score_row(q: &[f32], kt: &[f32], keys: core::ops::Range<usize>, scale: f32, s: &mut [f32]) {
+    let d = q.len();
+    if keys.is_empty() {
+        return;
+    }
+    for b in keys.start / KEY_BLOCK..=(keys.end - 1) / KEY_BLOCK {
+        let block = &kt[b * d * KEY_BLOCK..(b + 1) * d * KEY_BLOCK];
+        let mut acc = [0.0f32; KEY_BLOCK];
+        for (&qv, lanes) in q.iter().zip(block.chunks_exact(KEY_BLOCK)) {
+            for (a, &kv) in acc.iter_mut().zip(lanes) {
+                *a += qv * kv;
+            }
+        }
+        let first = b * KEY_BLOCK;
+        let lo = keys.start.max(first);
+        let hi = keys.end.min(first + KEY_BLOCK);
+        for (dst, &a) in s[lo - keys.start..hi - keys.start]
+            .iter_mut()
+            .zip(&acc[lo - first..hi - first])
+        {
+            *dst = a * scale;
+        }
+    }
+}
+
+/// `out = Σ p · V[key]` over the compacted `(probability, key)` pairs,
+/// in ascending key order, one 16-column chunk of accumulators at a time.
+/// Each output element starts at `0.0` and adds in pair order — the
+/// dense `P·V` chain with its exact-zero terms skipped.
+fn pv_row(probs: &[(f32, u32)], vh: &[f32], d: usize, out: &mut [f32]) {
+    for (chunk, dst) in out.chunks_mut(PV_CHUNK).enumerate() {
+        let c0 = chunk * PV_CHUNK;
+        let mut acc = [0.0f32; PV_CHUNK];
+        // Full chunks take a fixed-width loop the compiler keeps in
+        // registers (about 5% faster on the causal loop than the
+        // variable-width one the last chunk of an odd head width needs).
+        if let Ok(dst) = <&mut [f32; PV_CHUNK]>::try_from(&mut *dst) {
+            for &(p, c) in probs {
+                let x = &vh[c as usize * d + c0..c as usize * d + c0 + PV_CHUNK];
+                for (a, &xv) in acc.iter_mut().zip(x) {
+                    *a += p * xv;
+                }
+            }
+            *dst = acc;
+        } else {
+            let w = dst.len();
+            for &(p, c) in probs {
+                let x = &vh[c as usize * d + c0..c as usize * d + c0 + w];
+                for (a, &xv) in acc.iter_mut().zip(x) {
+                    *a += p * xv;
+                }
+            }
+            dst.copy_from_slice(&acc[..w]);
+        }
+    }
 }
 
 /// Prices the attention pipeline on both SDDMM schedules and keeps the
@@ -726,7 +874,11 @@ pub struct AttnCacheStats {
 /// A build-once cache for [`AttentionPlan`]s, keyed by the same
 /// [`PlanKey`] discipline as the weight-plan [`crate::PlanCache`]
 /// (descriptor + mask/heads fingerprint). Attention plans are small
-/// (a condensed gather order), so no eviction policy is needed.
+/// (an `O(seq)` row prefix), so no eviction policy is needed.
+///
+/// Each key owns a slot: the first caller builds under the slot's lock
+/// while racing callers for the same key wait on it and then share the
+/// result, so a plan is built exactly once; other keys proceed.
 ///
 /// Counters are double-booked: per-instance atomics back
 /// [`Self::stats`] (so a cache's own hit ratio stays exact), while the
@@ -735,7 +887,7 @@ pub struct AttnCacheStats {
 /// exposition next to the weight-plan cache's `cache="plan"` series.
 #[derive(Debug)]
 pub struct AttnPlanCache {
-    inner: Mutex<HashMap<PlanKey, Arc<AttentionPlan>>>,
+    inner: Mutex<HashMap<PlanKey, Arc<AttnSlot>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     builds: AtomicU64,
@@ -743,6 +895,9 @@ pub struct AttnPlanCache {
     obs_misses: Arc<venom_obs::Counter>,
     obs_builds: Arc<venom_obs::Counter>,
 }
+
+/// One key's plan, empty until its first successful build.
+type AttnSlot = Mutex<Option<Arc<AttentionPlan>>>;
 
 impl Default for AttnPlanCache {
     fn default() -> Self {
@@ -773,20 +928,21 @@ impl AttnPlanCache {
     }
 
     /// Returns the cached plan for `key`, building and inserting it on a
-    /// miss.
+    /// miss. Racing callers for one key build once: the rest wait for
+    /// that build and count as hits. A lock poisoned by a panicking
+    /// builder is recovered; its key's slot is still empty, so the next
+    /// caller builds.
     ///
     /// # Errors
     /// Propagates the builder's [`PlanError`]; failures are not cached.
-    ///
-    /// # Panics
-    /// Panics if the cache mutex was poisoned by a panicking builder on
-    /// another thread.
     pub fn get_or_build(
         &self,
         key: PlanKey,
         build: impl FnOnce() -> Result<AttentionPlan, PlanError>,
     ) -> Result<Arc<AttentionPlan>, PlanError> {
-        if let Some(hit) = self.inner.lock().expect("attn cache lock").get(&key) {
+        let slot = Arc::clone(lock_recover(&self.inner).entry(key).or_default());
+        let mut built = lock_recover(&slot);
+        if let Some(hit) = built.as_ref() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             self.obs_hits.inc();
             return Ok(Arc::clone(hit));
@@ -800,11 +956,8 @@ impl AttnPlanCache {
         venom_obs::trace::record_complete("attn_plan_build", "cache", started, None);
         self.builds.fetch_add(1, Ordering::Relaxed);
         self.obs_builds.inc();
-        // A racing builder may have inserted first; keep the existing
-        // plan so every caller shares one Arc.
-        let mut inner = self.inner.lock().expect("attn cache lock");
-        let entry = inner.entry(key).or_insert_with(|| Arc::clone(&plan));
-        Ok(Arc::clone(entry))
+        *built = Some(Arc::clone(&plan));
+        Ok(plan)
     }
 
     /// Hit/miss/build counters.

@@ -54,7 +54,7 @@ mod fault;
 mod queue;
 mod retry;
 mod server;
-mod sync;
+pub(crate) mod sync;
 
 pub use cache::{CacheStats, PlanBuildError, PlanCache, PlanKey};
 pub use fault::{FaultConfig, FaultPlan, FaultTrips, InjectedPanic};

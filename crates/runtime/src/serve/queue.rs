@@ -351,8 +351,10 @@ impl RequestQueue {
             self.not_full.notify_all();
             survivor
         };
-        victim.fulfill(Err(ServeError::Shed { watermark }));
+        // Counted before the answer, so the shed client sees itself in
+        // `shed_count`.
         self.shed.fetch_add(1, Ordering::Relaxed);
+        victim.fulfill(Err(ServeError::Shed { watermark }));
         if !shed_incoming {
             self.not_empty.notify_one();
         }
@@ -424,17 +426,16 @@ impl RequestQueue {
         if !state.queue.iter().any(|r| r.expired_at(now)) {
             return;
         }
-        let mut expired = 0u64;
         state.queue.retain(|req| {
             if req.expired_at(now) {
+                // Counted before the answer, as for sheds.
+                self.expired.fetch_add(1, Ordering::Relaxed);
                 req.fulfill(Err(ServeError::DeadlineExceeded));
-                expired += 1;
                 false
             } else {
                 true
             }
         });
-        self.expired.fetch_add(expired, Ordering::Relaxed);
         self.not_full.notify_all();
     }
 

@@ -579,8 +579,11 @@ fn shutdown_shared(shared: &Arc<WorkerShared>) {
     }
 }
 
-/// Spawns one worker and records its handle for shutdown.
+/// Spawns one worker and records its handle for shutdown. The worker
+/// counts as live from here, before its thread starts, so a health
+/// snapshot never misses a replacement that is still starting up.
 fn spawn_worker(shared: &Arc<WorkerShared>) {
+    shared.live.fetch_add(1, Ordering::Relaxed);
     let worker_shared = Arc::clone(shared);
     let handle = std::thread::spawn(move || worker_main(&worker_shared));
     lock_recover(&shared.handles).push(handle);
@@ -590,24 +593,16 @@ fn spawn_worker(shared: &Arc<WorkerShared>) {
 /// containing batch panics and self-respawning within the restart
 /// budget.
 fn worker_main(shared: &Arc<WorkerShared>) {
-    shared.live.fetch_add(1, Ordering::Relaxed);
     while let Some(batch) = shared.queue.pop_coalesced(shared.config.max_batch.max(1)) {
         let outcome = catch_unwind(AssertUnwindSafe(|| process_batch(shared, &batch)));
         if outcome.is_err() {
-            // The batch died mid-dispatch. Answer exactly its requests
-            // (first-write-wins skips any already delivered), hand the
-            // thread back, and respawn if the budget allows. The live
-            // count drops *before* the requests are answered, so a
-            // client that observes the error sees consistent health.
+            // The batch died mid-dispatch. Book everything before any
+            // client wakes: the panic, the restart reservation, the
+            // replacement (counted live by `spawn_worker`) and this
+            // thread's exit. The errored count is booked under the
+            // metrics lock held across the answers, so a client woken by
+            // `WorkerPanicked` sees a health report that includes it.
             shared.panics.fetch_add(1, Ordering::Relaxed);
-            shared.live.fetch_sub(1, Ordering::Relaxed);
-            let mut newly_errored = 0u64;
-            for req in &batch {
-                if req.fulfill(Err(ServeError::WorkerPanicked)) {
-                    newly_errored += 1;
-                }
-            }
-            lock_recover(&shared.metrics).note_errored(newly_errored);
             let within_budget = shared
                 .restarts
                 .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |r| {
@@ -617,6 +612,14 @@ fn worker_main(shared: &Arc<WorkerShared>) {
             if within_budget {
                 spawn_worker(shared);
             }
+            shared.live.fetch_sub(1, Ordering::Relaxed);
+            let mut metrics = lock_recover(&shared.metrics);
+            // First-write-wins skips any request already answered.
+            let newly_errored = batch
+                .iter()
+                .filter(|req| req.fulfill(Err(ServeError::WorkerPanicked)))
+                .count();
+            metrics.note_errored(newly_errored as u64);
             return;
         }
     }
@@ -685,10 +688,13 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
         Resolution::Planned(plan) => (plan, false),
         Resolution::Degraded(baseline) => (baseline, true),
         Resolution::Failed(err) => {
+            // Answers go out under the metrics lock, so a woken client's
+            // health report already counts them.
+            let mut m = lock_recover(&shared.metrics);
+            m.note_errored(batch.len() as u64);
             for req in batch {
                 req.fulfill(Err(err.clone()));
             }
-            lock_recover(&shared.metrics).note_errored(batch.len() as u64);
             return;
         }
     };
@@ -696,11 +702,15 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
     let (good, bad): (Vec<_>, Vec<_>) = batch
         .iter()
         .partition(|req| req.operand.rows() == expected_k);
-    for req in &bad {
-        req.fulfill(Err(ServeError::OperandShape {
-            expected_k,
-            got: req.operand.rows(),
-        }));
+    if !bad.is_empty() {
+        let mut m = lock_recover(&shared.metrics);
+        m.note_errored(bad.len() as u64);
+        for req in &bad {
+            req.fulfill(Err(ServeError::OperandShape {
+                expected_k,
+                got: req.operand.rows(),
+            }));
+        }
     }
     let outputs: Vec<Matrix<f32>> = if good.is_empty() {
         Vec::new()
@@ -717,14 +727,12 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
         plan.run_batch(&operands)
     };
     let mut latencies = Vec::with_capacity(good.len());
-    for (req, out) in good.iter().zip(outputs) {
+    for req in &good {
         latencies.push(req.submitted.elapsed().as_secs_f64() * 1e3);
-        req.fulfill(Ok(out));
     }
     let mut m = lock_recover(&shared.metrics);
     m.served += latencies.len() as u64;
     m.obs_served.add(latencies.len() as u64);
-    m.note_errored(bad.len() as u64);
     if degraded {
         m.degraded += latencies.len() as u64;
         m.obs_degraded.add(latencies.len() as u64);
@@ -735,6 +743,9 @@ fn process_batch(shared: &Arc<WorkerShared>, batch: &[ServeRequest]) {
     }
     for ms in latencies {
         m.record_latency(ms);
+    }
+    for (req, out) in good.iter().zip(outputs) {
+        req.fulfill(Ok(out));
     }
 }
 

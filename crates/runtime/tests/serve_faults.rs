@@ -235,6 +235,50 @@ fn run_panics_are_contained_and_workers_respawn() {
     assert!(report.worker_restarts >= 4);
 }
 
+/// The panic scenario above, repeated: a client woken by
+/// `WorkerPanicked` must already see the panic, the restart, the
+/// replacement worker and its own error in the health report — the
+/// supervisor books all of them before it answers. Any ordering slip
+/// shows up as a stale snapshot within a few hundred rounds.
+#[test]
+fn panic_bookkeeping_is_visible_to_every_woken_client() {
+    let engine = engine(8);
+    let (key, plan) = planned_weight(64, 64, 4, &engine);
+    let op = operand(64, 2, 40);
+    let cfg = FaultConfig {
+        run_panic: 1.0,
+        ..FaultConfig::with_seed(7)
+    };
+    for round in 0..300 {
+        let server = Server::start(
+            fast_config().with_concurrency(2).with_restart_budget(16),
+            Arc::new(PlanCache::new()),
+        );
+        let faulty = Arc::clone(&plan);
+        server.register(key, move || FaultPlan::wrap(Arc::clone(&faulty), cfg));
+        for i in 0..4u64 {
+            let err = server
+                .submit(key, op.clone())
+                .expect("submit")
+                .wait()
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::WorkerPanicked,
+                "round {round}, request {i}"
+            );
+            let health = server.health();
+            assert_eq!(health.worker_panics, i + 1, "round {round}: {health:?}");
+            assert_eq!(health.worker_restarts, i + 1, "round {round}: {health:?}");
+            assert_eq!(health.errored, i + 1, "round {round}: {health:?}");
+            assert_eq!(health.live_workers, 2, "round {round}: {health:?}");
+        }
+        let report = server.shutdown();
+        assert_eq!(report.errored, 4, "round {round}");
+        assert_eq!(report.worker_restarts, 4, "round {round}");
+    }
+}
+
 #[test]
 fn expired_requests_are_answered_without_consuming_batch_slots() {
     let engine = engine(8);
