@@ -36,7 +36,9 @@ use venom_dnn::{MultiHeadAttention, SparseAttention};
 use venom_format::{MatmulFormat, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_pruner::magnitude;
-use venom_runtime::{AttentionMask, Engine, PlanCache, PlanKey, RetryPolicy, ServeConfig, Server};
+use venom_runtime::{
+    AttentionMask, Engine, MatmulPlan, PlanCache, PlanKey, RetryPolicy, ServeConfig, Server,
+};
 use venom_sim::DeviceConfig;
 use venom_tensor::{gemm, random, Matrix};
 
@@ -529,7 +531,7 @@ fn spmm_band_series(
     assert_eq!(plan.run(&b), mma.run(&b), "band dispatch must stay exact");
     let median = median_ms(args.iters, || plan.run(&b));
     let reference = Some((
-        "SpmmPlan::run (mma stream)",
+        "FormatPlan::run (mma stream)",
         median_ms(args.ref_iters, || mma.run(&b)),
     ));
     let regime = plan.regime(engine.device()).map(|g| g.to_string());

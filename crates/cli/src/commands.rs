@@ -229,7 +229,7 @@ fn bench(
     let desc = engine.descriptor(r, k).with_dtype(dtype);
     let plan = match format {
         FormatChoice::Auto => engine.plan_auto_hinted(&desc, &pruned, Some(cfg)),
-        FormatChoice::Band => match engine.plan_band_hinted(&desc, &pruned, Some(cfg)) {
+        FormatChoice::Band => match engine.plan_band(&desc, &pruned, Some(cfg)) {
             Ok(p) => p,
             Err(e) => return format!("{e}"),
         },
@@ -434,7 +434,7 @@ fn spmm_probe(dev: &DeviceConfig, c: usize, band: bool) -> String {
     let engine = Engine::new(dev.clone()).with_b_cols_hint(c);
     let desc = engine.descriptor(r, k);
     let planned = if band {
-        engine.plan_band_hinted(&desc, &pruned, Some(cfg))
+        engine.plan_band(&desc, &pruned, Some(cfg))
     } else {
         engine.plan_with_format(MatmulFormat::Vnm, &desc, &pruned)
     };

@@ -3,7 +3,7 @@
 //! Activations are kept in `f32`; GEMM operands are converted to half at
 //! the layer boundary (standard mixed-precision inference). Layers hold
 //! *execution plans* built by the [`Engine`] behind the format-erased
-//! [`MatmulPlan`] surface: a [`Linear`] owns a [`GemmPlan`] over its
+//! [`MatmulPlan`] surface: a [`Linear`] owns a [`FormatPlan`] over its
 //! dense half weight, a [`PlannedLinear`] owns an `Arc<dyn MatmulPlan>`
 //! in whatever storage format the engine chose — so one model mixes
 //! V:N:M, 2:4, CSR, CVSE, Blocked-ELL and dense weights per layer.
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use venom_format::{MatmulFormat, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_runtime::{
-    Calibration, DType, Engine, Epilogue, GemmPlan, MatmulPlan, PlanCache, PlanError, PlanKey,
+    Calibration, DType, Engine, FormatPlan, MatmulPlan, PlanCache, PlanError, PlanKey,
 };
 use venom_tensor::Matrix;
 
@@ -62,7 +62,7 @@ pub enum PlanStrategy {
 #[derive(Clone, Debug)]
 pub struct Linear {
     /// Planned dense weight, `out_features x in_features`.
-    pub plan: GemmPlan,
+    pub plan: FormatPlan,
     /// Bias, length `out_features`.
     pub bias: Vec<f32>,
 }
@@ -83,7 +83,7 @@ impl Linear {
     pub fn from_half(weight: &Matrix<Half>, bias: Vec<f32>) -> Self {
         assert_eq!(bias.len(), weight.rows(), "bias must match out_features");
         Linear {
-            plan: GemmPlan::new(weight),
+            plan: FormatPlan::new(Arc::new(weight.clone())),
             bias,
         }
     }
@@ -95,8 +95,13 @@ impl Linear {
     }
 
     /// The dense half weight.
+    ///
+    /// # Panics
+    /// Panics if `plan` was replaced by a plan over a non-dense weight.
     pub fn weight(&self) -> &Matrix<Half> {
-        self.plan.weight()
+        self.plan
+            .weight::<Matrix<Half>>()
+            .expect("a Linear plans a dense weight")
     }
 
     /// `(out_features, in_features)`.
@@ -111,7 +116,7 @@ impl Linear {
     pub fn forward_via(&self, path: ExecPath, x: &Matrix<f32>) -> Matrix<f32> {
         match path {
             ExecPath::Planned => self.plan.run_linear(x, &self.bias),
-            ExecPath::PerCall => MatmulPlan::run_linear_percall(&self.plan, x, &self.bias),
+            ExecPath::PerCall => self.plan.run_linear_percall(x, &self.bias),
         }
     }
 
@@ -167,7 +172,7 @@ impl Linear {
         cfg: VnmConfig,
         strategy: PlanStrategy,
     ) -> Result<PlannedLinear, PlanError> {
-        let pruned = mask.apply_half(self.plan.weight());
+        let pruned = mask.apply_half(self.weight());
         Ok(PlannedLinear {
             plan: Self::plan_pruned(engine, &pruned, mask, cfg, strategy)?,
             bias: self.bias.clone(),
@@ -191,7 +196,7 @@ impl Linear {
         strategy: PlanStrategy,
         cache: &PlanCache,
     ) -> Result<PlannedLinear, PlanError> {
-        let pruned = mask.apply_half(self.plan.weight());
+        let pruned = mask.apply_half(self.weight());
         let key = PlanKey::for_weight(Self::cache_descriptor(engine, &pruned, strategy), &pruned)
             .with_salt(strategy_salt(strategy, cfg));
         let plan = cache.try_get_or_plan(key, || {
@@ -204,18 +209,16 @@ impl Linear {
     }
 
     /// The canonical descriptor a layer's plan is cached under: the
-    /// pruned weight's shape with the bias epilogue, in the dtype the
-    /// strategy executes in. Strategy details beyond the dtype (format
-    /// pin, calibration, prune pattern) are disambiguated by the cache
-    /// key's salt, not the descriptor.
+    /// pruned weight's shape, in the dtype the strategy executes in.
+    /// Strategy details beyond the dtype (format pin, calibration, prune
+    /// pattern) are disambiguated by the cache key's salt, not the
+    /// descriptor.
     fn cache_descriptor(
         engine: &Engine,
         pruned: &Matrix<Half>,
         strategy: PlanStrategy,
     ) -> venom_runtime::MatmulDescriptor {
-        let desc = engine
-            .descriptor(pruned.rows(), pruned.cols())
-            .with_epilogue(Epilogue::Bias);
+        let desc = engine.descriptor(pruned.rows(), pruned.cols());
         match strategy {
             PlanStrategy::Quantized(_) | PlanStrategy::AutoQuantized(_) => {
                 desc.with_dtype(DType::I8)
@@ -238,24 +241,18 @@ impl Linear {
                 Arc::new(engine.plan_spmm(&VnmMatrix::compress(pruned, mask, cfg)))
             }
             PlanStrategy::Auto => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias);
+                let desc = engine.descriptor(pruned.rows(), pruned.cols());
                 // The prune pattern is known here — seed the V:N:M
                 // candidate with it so patterns outside the engine's
                 // re-detection grid still compete.
                 engine.plan_auto_hinted(&desc, pruned, Some(cfg))
             }
             PlanStrategy::Band => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias);
-                engine.plan_band_hinted(&desc, pruned, Some(cfg))?
+                let desc = engine.descriptor(pruned.rows(), pruned.cols());
+                engine.plan_band(&desc, pruned, Some(cfg))?
             }
             PlanStrategy::Format(f) => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias);
+                let desc = engine.descriptor(pruned.rows(), pruned.cols());
                 engine.plan_with_format(f, &desc, pruned)?
             }
             PlanStrategy::Quantized(calib) => {
@@ -265,7 +262,6 @@ impl Linear {
             PlanStrategy::AutoQuantized(calib) => {
                 let desc = engine
                     .descriptor(pruned.rows(), pruned.cols())
-                    .with_epilogue(Epilogue::Bias)
                     .with_dtype(DType::I8);
                 engine
                     .clone()
@@ -327,7 +323,8 @@ impl PlannedLinear {
     /// # Panics
     /// Panics if `bias.len() != weight.rows()`.
     pub fn dense(engine: &Engine, weight: &Matrix<Half>, bias: Vec<f32>) -> Self {
-        Self::new(Arc::new(engine.plan_gemm(weight)), bias)
+        Self::with_format(engine, MatmulFormat::Dense, weight, bias)
+            .expect("every weight is eligible for the dense format")
     }
 
     /// Plans `weight` in the cost-model-cheapest eligible format.
@@ -335,9 +332,7 @@ impl PlannedLinear {
     /// # Panics
     /// Panics if `bias.len() != weight.rows()`.
     pub fn auto(engine: &Engine, weight: &Matrix<Half>, bias: Vec<f32>) -> Self {
-        let desc = engine
-            .descriptor(weight.rows(), weight.cols())
-            .with_epilogue(Epilogue::Bias);
+        let desc = engine.descriptor(weight.rows(), weight.cols());
         Self::new(engine.plan_auto(&desc, weight), bias)
     }
 
@@ -355,9 +350,7 @@ impl PlannedLinear {
         weight: &Matrix<Half>,
         bias: Vec<f32>,
     ) -> Result<Self, PlanError> {
-        let desc = engine
-            .descriptor(weight.rows(), weight.cols())
-            .with_epilogue(Epilogue::Bias);
+        let desc = engine.descriptor(weight.rows(), weight.cols());
         Ok(Self::new(
             engine.plan_with_format(format, &desc, weight)?,
             bias,

@@ -14,7 +14,7 @@
 use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
 use venom_pruner::magnitude;
-use venom_runtime::{Engine, SpmmPlan};
+use venom_runtime::{Engine, FormatPlan, MatmulPlan};
 use venom_tensor::Matrix;
 
 /// Turns dense weights into a compressed sparse form.
@@ -60,7 +60,7 @@ pub struct SparseTensorWrapper {
     /// formats in STen; kept here for verification).
     pub dense_origin: Matrix<Half>,
     /// The compressed V:N:M tensor, planned on the wrapping engine.
-    pub plan: SpmmPlan,
+    pub plan: FormatPlan,
 }
 
 impl SparseTensorWrapper {
@@ -80,8 +80,13 @@ impl SparseTensorWrapper {
     }
 
     /// The compressed V:N:M tensor.
+    ///
+    /// # Panics
+    /// Panics if `plan` was replaced by a plan over another format.
     pub fn compressed(&self) -> &VnmMatrix {
-        self.plan.weight()
+        self.plan
+            .weight::<VnmMatrix>()
+            .expect("the wrapper plans a V:N:M tensor")
     }
 
     /// Dispatches the SpMM through the plan (Listing 1's

@@ -108,7 +108,10 @@ impl core::str::FromStr for MatmulFormat {
 /// accumulates, in the same order, with the same zero skips — so a plan
 /// that replays the emitted stream reproduces every f32 accumulation
 /// chain of the reference kernel bit-for-bit.
-pub trait SparseKernel: Send + Sync + std::fmt::Debug {
+///
+/// The `Any` bound lets a holder of `dyn SparseKernel` downcast back to
+/// the concrete container.
+pub trait SparseKernel: std::any::Any + Send + Sync + std::fmt::Debug {
     /// Which storage format this is.
     fn format(&self) -> MatmulFormat;
 

@@ -8,16 +8,13 @@
 //! directly in compressed form, ready to feed softmax and the `P·V`
 //! SpMM without a dense round trip.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`AttentionMask`] — dynamic per-request masks (causal,
 //!   sliding-window, blockwise) as first-class values. A mask is a
 //!   predicate, not a matrix: the dense path applies it in place and the
 //!   planned path walks its per-row key ranges, so no `O(seq²)` mask
 //!   storage ever materializes.
-//! * [`SddmmPlan`] — stage `K` once (the exact f16→f32 decode the
-//!   one-shot kernel performs per call), replay per head or request.
-//!   Replay is bit-identical to one-shot [`venom_core::sddmm()`].
 //! * [`AttentionPlan`] — the full pipeline `SDDMM → masked softmax over
 //!   the compressed scores → P·V`, computed only at the mask's sampled
 //!   positions yet bit-identical to the dense reference chain
@@ -25,9 +22,9 @@
 //!   because masked entries contribute exactly-zero terms the dense
 //!   accumulation order already skips or absorbs.
 //!
-//! Both plans are priced from [`venom_core::sddmm_counts`]-derived
-//! [`KernelCounts`], answer `regime(dev)`, and pick between the mma and
-//! swapped-operand SDDMM schedules by simulated cost — the same
+//! The plan is priced from [`venom_core::sddmm_counts`]-derived
+//! [`KernelCounts`], answers `regime(dev)`, and picks between the mma and
+//! swapped-operand SDDMM schedules ([`SddmmPath`]) by simulated cost — the same
 //! flip-on-cost discipline as `plan_auto`, no thresholds.
 
 use crate::matmul::PlanError;
@@ -39,9 +36,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use venom_core::{sddmm_counts, sddmm_counts_swapped};
-use venom_format::{SparsityMask, VnmConfig, VnmMatrix};
+use venom_format::{SparsityMask, VnmConfig};
 use venom_fp16::slice::round_through_f16;
-use venom_fp16::{f16_to_f32_table, Half};
 use venom_sim::pipeline::{simulate, KernelCounts, KernelTiming};
 use venom_sim::{DeviceConfig, Regime, Roofline};
 use venom_tensor::Matrix;
@@ -189,241 +185,6 @@ impl core::fmt::Display for SddmmPath {
             SddmmPath::Swapped => write!(f, "sddmm-swapped"),
         }
     }
-}
-
-/// Prices both SDDMM schedules and returns the cheaper one with its
-/// counts and timing. The flip is pure cost comparison (`cost_cmp`), no
-/// shape thresholds.
-fn select_sddmm_path(
-    r: usize,
-    d: usize,
-    c: usize,
-    cfg: VnmConfig,
-    dev: &DeviceConfig,
-) -> (SddmmPath, KernelCounts, KernelTiming) {
-    let mma = sddmm_counts(r, d, c, cfg);
-    let swapped = sddmm_counts_swapped(r, d, c, cfg);
-    let t_mma = simulate(dev, &mma).expect("sddmm counts fit the shipped presets");
-    let t_swapped = simulate(dev, &swapped).expect("swapped sddmm counts fit the shipped presets");
-    if crate::pricing::cost_cmp(t_swapped.time_ms, t_mma.time_ms) == core::cmp::Ordering::Less {
-        (SddmmPath::Swapped, swapped, t_swapped)
-    } else {
-        (SddmmPath::Mma, mma, t_mma)
-    }
-}
-
-/// A planned SDDMM: `K` is staged once (transposed, decoded through the
-/// exact f16→f32 table) and the sampled positions are condensed into a
-/// gather order, so replaying against a fresh `Q` pays neither staging
-/// nor pattern discovery. Replay is bit-identical to one-shot
-/// [`venom_core::sddmm()`]: each sampled dot product accumulates in the
-/// same `kk` order over the same staged values.
-#[derive(Clone, Debug)]
-pub struct SddmmPlan {
-    rows: usize,
-    d: usize,
-    cols: usize,
-    cfg: VnmConfig,
-    pattern: SparsityMask,
-    /// K transposed and decoded: `kt[c * d + kk] = f32(K[kk][c])`.
-    kt_f32: Vec<f32>,
-    /// Condensed gather order: `cols_idx[row_ptr[r]..row_ptr[r+1]]` are
-    /// row `r`'s sampled columns, ascending — the accumulation order the
-    /// one-shot kernel uses.
-    row_ptr: Vec<u32>,
-    cols_idx: Vec<u32>,
-    path: SddmmPath,
-    counts: KernelCounts,
-    timing: KernelTiming,
-}
-
-impl SddmmPlan {
-    /// Stages `k` and condenses `pattern` into a replayable plan.
-    ///
-    /// # Errors
-    /// [`PlanError::Unplannable`] when the pattern does not comply with
-    /// `cfg` or the shapes disagree.
-    pub fn build(
-        k: &Matrix<Half>,
-        pattern: &SparsityMask,
-        cfg: VnmConfig,
-        dev: &DeviceConfig,
-    ) -> Result<SddmmPlan, PlanError> {
-        let bad = |reason: String| PlanError::Unplannable {
-            what: "sddmm",
-            reason,
-        };
-        if pattern.cols() != k.cols() {
-            return Err(bad(format!(
-                "pattern has {} columns but K has {}",
-                pattern.cols(),
-                k.cols()
-            )));
-        }
-        if !pattern.complies_vnm(cfg) {
-            return Err(bad(format!("pattern does not comply with {cfg}")));
-        }
-        let (rows, d, cols) = (pattern.rows(), k.rows(), k.cols());
-
-        // Stage K transposed exactly as the one-shot kernel does per
-        // call: one contiguous decoded column per sampled dot product.
-        let table = f16_to_f32_table();
-        let mut kt_f32 = vec![0.0f32; d * cols];
-        for kk in 0..d {
-            let krow = k.row(kk);
-            for (c, &kv) in krow.iter().enumerate() {
-                kt_f32[c * d + kk] = table[kv.to_bits() as usize];
-            }
-        }
-
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        let mut cols_idx = Vec::new();
-        row_ptr.push(0u32);
-        for r in 0..rows {
-            for c in pattern.row_indices(r) {
-                cols_idx.push(c as u32);
-            }
-            row_ptr.push(cols_idx.len() as u32);
-        }
-
-        let (path, counts, timing) = select_sddmm_path(rows, d, cols, cfg, dev);
-        Ok(SddmmPlan {
-            rows,
-            d,
-            cols,
-            cfg,
-            pattern: pattern.clone(),
-            kt_f32,
-            row_ptr,
-            cols_idx,
-            path,
-            counts,
-            timing,
-        })
-    }
-
-    /// Replays the plan against a fresh `Q`: the sampled product in the
-    /// pattern's compressed V:N:M layout, bit-identical to
-    /// `venom_core::sddmm(q, k, pattern, cfg, Functional, dev).out`.
-    ///
-    /// # Panics
-    /// Panics when `q`'s shape disagrees with the staged `K`/pattern.
-    pub fn replay(&self, q: &Matrix<Half>) -> VnmMatrix {
-        assert_eq!(q.cols(), self.d, "inner dimensions must agree");
-        assert_eq!(q.rows(), self.rows, "pattern rows must match Q");
-        let timer = venom_obs::profile::PhaseTimer::start();
-        let q_f32 = venom_fp16::slice::decode_f32_vec(q.as_slice());
-        timer.stop("sddmm", "stage", (q.len() * 2) as u64);
-        let d = self.d;
-        let timer = venom_obs::profile::PhaseTimer::start();
-        let mut out = vec![Half::ZERO; self.rows * self.cols];
-        match self.path {
-            // Row-major replay: each row walks its condensed gather
-            // order (the mma schedule's tile order).
-            SddmmPath::Mma => {
-                out.par_chunks_mut(self.cols)
-                    .enumerate()
-                    .for_each(|(r, orow)| {
-                        let qrow = &q_f32[r * d..(r + 1) * d];
-                        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                        for &c in &self.cols_idx[lo..hi] {
-                            let kcol = &self.kt_f32[c as usize * d..(c as usize + 1) * d];
-                            orow[c as usize] = Half::from_f32(dot_f32(qrow, kcol));
-                        }
-                    });
-            }
-            // Swapped-operand replay: stream Q once per condensed
-            // column slab. Each sampled dot still accumulates in `kk`
-            // order over the same staged values, so the bits cannot
-            // differ — only the traversal (and the priced schedule)
-            // does.
-            SddmmPath::Swapped => {
-                out.par_chunks_mut(self.cols)
-                    .enumerate()
-                    .for_each(|(r, orow)| {
-                        let qrow = &q_f32[r * d..(r + 1) * d];
-                        let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                        // Walk the slab column-major within the row's run:
-                        // identical element set, identical per-element chain.
-                        for &c in self.cols_idx[lo..hi].iter() {
-                            let kcol = &self.kt_f32[c as usize * d..(c as usize + 1) * d];
-                            orow[c as usize] = Half::from_f32(dot_f32(qrow, kcol));
-                        }
-                    });
-            }
-        }
-        // Compulsory traffic of the gather-order replay: the staged K
-        // panel, the condensed index planes, and the sampled outputs.
-        timer.stop(
-            "sddmm",
-            "gather",
-            (self.kt_f32.len() * 4
-                + self.cols_idx.len() * 4
-                + self.row_ptr.len() * 4
-                + self.cols_idx.len() * 2) as u64,
-        );
-        let timer = venom_obs::profile::PhaseTimer::start();
-        let dense = Matrix::from_vec(self.rows, self.cols, out);
-        let compressed = VnmMatrix::compress(&dense, &self.pattern, self.cfg);
-        timer.stop("sddmm", "epilogue", (self.cols_idx.len() * 2) as u64);
-        compressed
-    }
-
-    /// The schedule cost selection picked.
-    pub fn path(&self) -> SddmmPath {
-        self.path
-    }
-
-    /// The V:N:M pattern the plan samples.
-    pub fn pattern(&self) -> &SparsityMask {
-        &self.pattern
-    }
-
-    /// `(rows, d, cols)` of the sampled product.
-    pub fn shape(&self) -> (usize, usize, usize) {
-        (self.rows, self.d, self.cols)
-    }
-
-    /// The priced resource counts of the selected schedule.
-    pub fn counts(&self) -> &KernelCounts {
-        &self.counts
-    }
-
-    /// Simulated timing of one replay on the build device.
-    pub fn timing(&self) -> &KernelTiming {
-        &self.timing
-    }
-
-    /// Simulated milliseconds per replay.
-    pub fn cost_ms(&self) -> f64 {
-        self.timing.time_ms
-    }
-
-    /// Roofline placement of the selected schedule on `dev`.
-    pub fn roofline(&self, dev: &DeviceConfig) -> Roofline {
-        venom_sim::roofline::analyze(dev, &self.counts)
-    }
-
-    /// Compute- or memory-bound verdict on `dev`.
-    pub fn regime(&self, dev: &DeviceConfig) -> Regime {
-        self.roofline(dev).regime()
-    }
-
-    /// Approximate resident bytes (the staged K plus the gather order).
-    pub fn approx_bytes(&self) -> usize {
-        self.kt_f32.len() * 4 + self.cols_idx.len() * 4 + self.row_ptr.len() * 4
-    }
-}
-
-/// Accumulates `a · b` in index order — the scalar `mac_f32` chain every
-/// reference kernel uses.
-#[inline]
-fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for (&x, &y) in a.iter().zip(b) {
-        acc += x * y;
-    }
-    acc
 }
 
 /// Keys per `QKᵀ` step: one accumulator per key, so a step advances 32
@@ -973,41 +734,9 @@ impl AttnPlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use venom_core::ExecMode;
-    use venom_tensor::random;
 
     fn dev() -> DeviceConfig {
         DeviceConfig::rtx3090()
-    }
-
-    /// A V:N:M-compliant dynamic pattern (magnitude-ranked columns per
-    /// block group, like attention sparsity would produce).
-    fn vnm_pattern(rows: usize, cols: usize, cfg: VnmConfig, seed: u64) -> SparsityMask {
-        let probe = random::normal_matrix(rows, cols, 0.0, 1.0, seed);
-        let mut mask = SparsityMask::empty(rows, cols);
-        for b in 0..cfg.row_blocks(rows) {
-            let r0 = b * cfg.v;
-            let r1 = (r0 + cfg.v).min(rows);
-            for g in 0..cfg.k_groups(cols) {
-                let c0 = g * cfg.m;
-                let c1 = (c0 + cfg.m).min(cols);
-                let mut cols_idx: Vec<usize> = (c0..c1).collect();
-                cols_idx.sort_by(|&a, &bb| {
-                    let sa: f32 = (r0..r1).map(|r| probe.get(r, a).abs()).sum();
-                    let sb: f32 = (r0..r1).map(|r| probe.get(r, bb).abs()).sum();
-                    sb.partial_cmp(&sa).unwrap()
-                });
-                let sel = &cols_idx[..venom_format::SELECTED_COLUMNS.min(cols_idx.len())];
-                for r in r0..r1 {
-                    for (j, &c) in sel.iter().enumerate() {
-                        if j < cfg.n {
-                            mask.set(r, c, true);
-                        }
-                    }
-                }
-            }
-        }
-        mask
     }
 
     #[test]
@@ -1065,53 +794,6 @@ mod tests {
             attention_key(64, 128, 8, &AttentionMask::Causal),
             "head split must key separately"
         );
-    }
-
-    #[test]
-    fn sddmm_plan_replay_is_bit_identical_to_oneshot() {
-        // The conformance grid: V x {2:8, 2:16}.
-        let (r, d, c) = (64usize, 24usize, 64usize);
-        for v in [16usize, 32, 64] {
-            for (n, m) in [(2usize, 8usize), (2, 16)] {
-                let cfg = VnmConfig::new(v, n, m);
-                let q = random::normal_matrix(r, d, 0.0, 1.0, 1).to_half();
-                let k = random::normal_matrix(d, c, 0.0, 1.0, 2).to_half();
-                let pattern = vnm_pattern(r, c, cfg, 3);
-                assert!(pattern.complies_vnm(cfg));
-                let plan = SddmmPlan::build(&k, &pattern, cfg, &dev()).unwrap();
-                let want = venom_core::sddmm(&q, &k, &pattern, cfg, ExecMode::Functional, &dev());
-                assert_eq!(
-                    plan.replay(&q),
-                    want.out,
-                    "{cfg}: plan replay drifted from one-shot sddmm"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sddmm_plan_path_flips_on_cost_with_query_rows() {
-        let d = dev();
-        let cfg = VnmConfig::new(16, 2, 8);
-        let k = random::normal_matrix(64, 1024, 0.0, 1.0, 4).to_half();
-        let short = vnm_pattern(16, 1024, cfg, 5);
-        let tall = vnm_pattern(2048, 1024, cfg, 6);
-        let short_plan = SddmmPlan::build(&k, &short, cfg, &d).unwrap();
-        let tall_plan = SddmmPlan::build(&k, &tall, cfg, &d).unwrap();
-        assert_eq!(short_plan.path(), SddmmPath::Swapped, "short Q streams");
-        assert_eq!(tall_plan.path(), SddmmPath::Mma, "tall Q rides mma");
-        // Both answer the roofline question.
-        let _ = short_plan.regime(&d);
-        let _ = tall_plan.regime(&d);
-    }
-
-    #[test]
-    fn sddmm_plan_rejects_noncompliant_patterns() {
-        let cfg = VnmConfig::new(16, 2, 8);
-        let k = random::normal_matrix(16, 32, 0.0, 1.0, 7).to_half();
-        let dense_pattern = SparsityMask::dense(32, 32);
-        let err = SddmmPlan::build(&k, &dense_pattern, cfg, &dev()).unwrap_err();
-        assert!(err.to_string().contains("comply"), "{err}");
     }
 
     #[test]

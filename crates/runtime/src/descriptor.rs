@@ -2,15 +2,15 @@
 //! unified plan surface is built around.
 //!
 //! A [`MatmulDescriptor`] says *what* is being computed (`y = x W^T (+
-//! bias)(+ activation)` over a `out_features x in_features` weight, up to
-//! `b_cols` output columns per dispatch, in which dtype); the
-//! [`crate::Engine`] decides *how* (which storage format, which tile)
-//! and returns a [`crate::MatmulPlan`]. Describing the epilogue and the
-//! column bound up front is what lets planning price candidates fairly:
-//! every format is tuned and timed for the same dispatch — and the dtype
-//! selects between genuinely different execution paths: `f16` plans
-//! replay exact fp16-product/f32-accumulation streams, `i8` plans run the
-//! calibrated int8 container with exact i32 accumulation and a fused
+//! bias)` over a `out_features x in_features` weight, up to `b_cols`
+//! output columns per dispatch, in which dtype); the [`crate::Engine`]
+//! decides *how* (which storage format, which tile) and returns a
+//! [`crate::MatmulPlan`]. Describing the column bound up front is what
+//! lets planning price candidates fairly: every format is tuned and
+//! timed for the same dispatch — and the dtype selects between genuinely
+//! different execution paths: `f16` plans replay exact
+//! fp16-product/f32-accumulation streams, `i8` plans run the calibrated
+//! int8 container with exact i32 accumulation and a fused
 //! dequantization epilogue.
 
 use venom_fp16::Half;
@@ -84,37 +84,9 @@ impl core::str::FromStr for DType {
     }
 }
 
-/// The fused tail of the planned matmul.
-///
-/// `Bias` is executed by [`crate::MatmulPlan::run_linear`] (the bias add
-/// fuses into the plan's transpose epilogue); `BiasGelu` additionally
-/// names the activation the caller applies after the linear — recorded
-/// so plans describe the full layer op they serve, and so future pricing
-/// can charge the epilogue traffic where a backend would fuse it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Epilogue {
-    /// Plain `C = A * B`.
-    #[default]
-    None,
-    /// Row-bias added in the output epilogue (`y = x W^T + b`).
-    Bias,
-    /// Bias followed by the GELU activation (the FFN-1 layer shape).
-    BiasGelu,
-}
-
-impl core::fmt::Display for Epilogue {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            Epilogue::None => f.write_str("none"),
-            Epilogue::Bias => f.write_str("bias"),
-            Epilogue::BiasGelu => f.write_str("bias+gelu"),
-        }
-    }
-}
-
 /// Describes one weight matmul for planning: logical weight shape,
-/// operand dtype, epilogue, and the output-column bound the plan is
-/// tuned and priced for.
+/// operand dtype, and the output-column bound the plan is tuned and
+/// priced for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MatmulDescriptor {
     /// Weight rows — the layer's output features.
@@ -126,8 +98,6 @@ pub struct MatmulDescriptor {
     pub b_cols: usize,
     /// Operand precision.
     pub dtype: DType,
-    /// The fused tail the plan serves.
-    pub epilogue: Epilogue,
 }
 
 impl MatmulDescriptor {
@@ -137,7 +107,7 @@ impl MatmulDescriptor {
     pub const DEFAULT_B_COLS: usize = 512;
 
     /// A descriptor for a `out_features x in_features` weight with the
-    /// default column bound, f16 operands and no epilogue.
+    /// default column bound and f16 operands.
     ///
     /// # Panics
     /// Panics if either dimension is zero.
@@ -151,7 +121,6 @@ impl MatmulDescriptor {
             in_features,
             b_cols: Self::DEFAULT_B_COLS,
             dtype: DType::F16,
-            epilogue: Epilogue::None,
         }
     }
 
@@ -168,13 +137,6 @@ impl MatmulDescriptor {
     pub fn with_b_cols(mut self, b_cols: usize) -> Self {
         assert!(b_cols > 0, "the column bound must be nonzero");
         self.b_cols = b_cols;
-        self
-    }
-
-    /// Overrides the epilogue.
-    #[must_use]
-    pub fn with_epilogue(mut self, epilogue: Epilogue) -> Self {
-        self.epilogue = epilogue;
         self
     }
 
@@ -208,8 +170,8 @@ impl core::fmt::Display for MatmulDescriptor {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "{}x{} (<= {} cols, {}, epilogue {})",
-            self.out_features, self.in_features, self.b_cols, self.dtype, self.epilogue
+            "{}x{} (<= {} cols, {})",
+            self.out_features, self.in_features, self.b_cols, self.dtype
         )
     }
 }
@@ -220,11 +182,8 @@ mod tests {
 
     #[test]
     fn builder_sets_fields() {
-        let d = MatmulDescriptor::new(64, 128)
-            .with_b_cols(96)
-            .with_epilogue(Epilogue::Bias);
+        let d = MatmulDescriptor::new(64, 128).with_b_cols(96);
         assert_eq!((d.out_features, d.in_features, d.b_cols), (64, 128, 96));
-        assert_eq!(d.epilogue, Epilogue::Bias);
         assert_eq!(d.dtype, DType::F16);
         assert_eq!(d.gemm_shape(), GemmShape::new(64, 128, 96));
         assert!(d.to_string().contains("64x128"));

@@ -4,7 +4,7 @@
 
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
-use crate::plan::{BandPlan, FormatPlan, GemmPlan, SpmmPlan};
+use crate::plan::{BandPlan, FormatPlan};
 use crate::pricing;
 use crate::qplan::QuantSpmmPlan;
 use std::sync::Arc;
@@ -59,7 +59,7 @@ impl Engine {
     }
 
     /// Overrides the output-column bound used by [`Self::plan_spmm`],
-    /// [`Self::plan_gemm`] and [`Self::descriptor`].
+    /// [`Self::plan_quant_spmm`] and [`Self::descriptor`].
     #[must_use]
     pub fn with_b_cols_hint(mut self, b_cols: usize) -> Self {
         self.b_cols_hint = b_cols;
@@ -102,34 +102,21 @@ impl Engine {
         MatmulDescriptor::new(out_features, in_features).with_b_cols(self.b_cols_hint)
     }
 
-    /// Plans a V:N:M SpMM at the engine's column hint.
-    pub fn plan_spmm(&self, a: &VnmMatrix) -> SpmmPlan {
-        self.plan_spmm_bounded(a, self.b_cols_hint)
-    }
-
-    /// Plans a V:N:M SpMM tuned and priced for up to `b_cols_bound`
-    /// output columns (wider runs stay exact; only the captured pricing
-    /// assumes the bound).
-    pub fn plan_spmm_bounded(&self, a: &VnmMatrix, b_cols_bound: usize) -> SpmmPlan {
+    /// Plans a V:N:M SpMM on the Spatha kernel, autotuned and priced at
+    /// the engine's column hint (wider runs stay exact; only the captured
+    /// pricing assumes the bound).
+    pub fn plan_spmm(&self, a: &VnmMatrix) -> FormatPlan {
         let (r, k) = a.shape();
-        let desc = MatmulDescriptor::new(r, k).with_b_cols(b_cols_bound);
-        SpmmPlan::build(a, desc, &self.opts, &self.dev)
+        let desc = self.descriptor(r, k);
+        FormatPlan::vnm(Arc::new(a.clone()), desc, &self.opts, &self.dev)
     }
 
     /// Quantizes a compressed V:N:M weight with the engine's calibrator
     /// and plans its i32-accumulating int8 dispatch at the engine's
     /// column hint.
     pub fn plan_quant_spmm(&self, a: &VnmMatrix) -> QuantSpmmPlan {
-        self.plan_quant_spmm_bounded(a, self.b_cols_hint)
-    }
-
-    /// [`Self::plan_quant_spmm`] tuned and priced for up to
-    /// `b_cols_bound` output columns.
-    pub fn plan_quant_spmm_bounded(&self, a: &VnmMatrix, b_cols_bound: usize) -> QuantSpmmPlan {
         let (r, k) = a.shape();
-        let desc = MatmulDescriptor::new(r, k)
-            .with_b_cols(b_cols_bound)
-            .with_dtype(DType::I8);
+        let desc = self.descriptor(r, k).with_dtype(DType::I8);
         QuantSpmmPlan::build(
             a,
             self.calibration,
@@ -140,27 +127,15 @@ impl Engine {
         )
     }
 
-    /// Plans a dense GEMM priced on the cuBLAS model for this engine's
-    /// device at the engine's column hint — the same pricing seam sparse
-    /// plans get, so dense-vs-sparse comparisons in [`Self::plan_auto`]
-    /// are fair.
-    pub fn plan_gemm(&self, w: &Matrix<Half>) -> GemmPlan {
-        self.plan_gemm_bounded(w, self.b_cols_hint)
-    }
-
-    /// [`Self::plan_gemm`] priced for up to `b_cols_bound` output columns.
-    pub fn plan_gemm_bounded(&self, w: &Matrix<Half>, b_cols_bound: usize) -> GemmPlan {
-        let desc = MatmulDescriptor::for_weight(w).with_b_cols(b_cols_bound);
-        GemmPlan::build(w, desc, &self.dev)
-    }
-
     /// Plans `weights` in an explicitly chosen storage format.
     ///
     /// The weight's *nonzero structure* decides eligibility: `vnm` and
     /// `nm` require the zeros to comply with a supported pattern
     /// (`V:2:M` over the probed grid, resp. the hardware 2:4);
     /// `blocked-ell` requires a block size dividing both dimensions;
-    /// `csr`, `cvse` and `dense` accept anything. The descriptor's
+    /// `csr`, `cvse` and `dense` accept anything (dense is priced on the
+    /// cuBLAS model, so dense-vs-sparse comparisons in
+    /// [`Self::plan_auto`] are fair). The descriptor's
     /// *dtype* decides the execution path on top: `i8` descriptors plan
     /// the calibrated quantized container, which only the V:N:M format
     /// implements — any other format reports the dtype as ineligible.
@@ -195,7 +170,12 @@ impl Engine {
         }
         let incompatible = |reason: String| PlanError::Incompatible { format, reason };
         match format {
-            MatmulFormat::Dense => Ok(Arc::new(GemmPlan::build(weights, *desc, &self.dev))),
+            MatmulFormat::Dense => Ok(Arc::new(FormatPlan::build_counted(
+                Arc::new(weights.clone()),
+                *desc,
+                Some(pricing::price_dense(desc.gemm_shape(), &self.dev)),
+                Some(pricing::dense_counts(desc.gemm_shape(), &self.dev)),
+            ))),
             MatmulFormat::Vnm => self.plan_vnm_detected(desc, weights, None),
             MatmulFormat::Nm => {
                 let mask = nonzero_mask(weights);
@@ -302,7 +282,12 @@ impl Engine {
         pattern: Option<VnmConfig>,
     ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
         let a = self.compress_vnm_detected(weights, pattern)?;
-        Ok(Arc::new(SpmmPlan::build(&a, *desc, &self.opts, &self.dev)))
+        Ok(Arc::new(FormatPlan::vnm(
+            Arc::new(a),
+            *desc,
+            &self.opts,
+            &self.dev,
+        )))
     }
 
     /// Plans the bandwidth-optimized non-mma V:N:M band path explicitly.
@@ -311,7 +296,8 @@ impl Engine {
     /// and routes memory-bound shapes to it; this forces it (the CLI's
     /// `--format band`). The plan executes the FlashSparse-style
     /// swapped-operand replay and is priced on the CUDA-core DRAM
-    /// roofline.
+    /// roofline. A known prune `pattern` is honoured as in
+    /// [`Self::plan_auto_hinted`].
     ///
     /// # Errors
     /// [`PlanError::Incompatible`] when the nonzero structure complies
@@ -322,16 +308,6 @@ impl Engine {
     /// # Panics
     /// Panics if `weights` does not match the descriptor's shape.
     pub fn plan_band(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-    ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
-        self.plan_band_hinted(desc, weights, None)
-    }
-
-    /// [`Self::plan_band`] with a known prune pattern (same contract as
-    /// [`Self::plan_auto_hinted`]).
-    pub fn plan_band_hinted(
         &self,
         desc: &MatmulDescriptor,
         weights: &Matrix<Half>,
@@ -495,68 +471,6 @@ impl Engine {
         })
     }
 
-    /// Packages attention planning as the fallible builder shape the
-    /// serving stack consumes — the attention sibling of
-    /// [`Self::serve_builder`]: the closure owns a clone of the engine
-    /// and the planning inputs, replans on every call, and maps
-    /// [`PlanError`] onto the reason string the server surfaces.
-    pub fn attention_builder(
-        &self,
-        seq: usize,
-        hidden: usize,
-        heads: usize,
-        mask: &crate::AttentionMask,
-    ) -> impl Fn() -> Result<Arc<crate::AttentionPlan>, String> + Send + Sync + 'static {
-        let engine = self.clone();
-        let mask = *mask;
-        move || {
-            engine
-                .plan_attention(seq, hidden, heads, &mask)
-                .map_err(|e| e.to_string())
-        }
-    }
-
-    /// [`Self::plan_auto`] with a measured micro-autotune: every eligible
-    /// candidate plan is additionally *run* `iters` times on a synthetic
-    /// probe operand, and the lowest measured wall-clock wins. Slower to
-    /// plan, but immune to cost-model bias on the functional CPU path.
-    ///
-    /// # Panics
-    /// Panics if `iters` is zero or the shapes mismatch.
-    pub fn plan_auto_measured(
-        &self,
-        desc: &MatmulDescriptor,
-        weights: &Matrix<Half>,
-        iters: usize,
-    ) -> Arc<dyn MatmulPlan> {
-        assert!(
-            iters >= 1,
-            "the micro-autotune needs at least one iteration"
-        );
-        // A small deterministic probe: measuring at full bound would make
-        // planning cost as much as serving.
-        let probe_cols = desc.b_cols.clamp(1, 32);
-        let probe = Matrix::from_fn(desc.in_features, probe_cols, |r, c| {
-            ((r * 31 + c * 17) % 13) as f32 * 0.17 - 1.0
-        })
-        .to_half();
-        self.auto_candidates(desc, weights, None)
-            .into_iter()
-            .map(|plan| {
-                let _ = plan.run(&probe); // warm-up primes tables and pools
-                let mut best = f64::INFINITY;
-                for _ in 0..iters {
-                    let t0 = std::time::Instant::now();
-                    std::hint::black_box(plan.run(&probe));
-                    best = best.min(t0.elapsed().as_secs_f64());
-                }
-                (plan, best)
-            })
-            .min_by(|a, b| pricing::cost_cmp(a.1, b.1))
-            .expect("the dense path is always eligible")
-            .0
-    }
-
     /// Every plan the weight structure is eligible for, priced; the
     /// V:N:M candidate honours a caller-supplied pattern hint, and an
     /// `i8` descriptor adds the quantized V:N:M candidate to the pool.
@@ -571,10 +485,11 @@ impl Engine {
         // i8 descriptors) quantized candidates share the compression and
         // the autotuned tile instead of redoing mask detection and the
         // template sweep per candidate.
-        let f16_vnm = self
-            .compress_vnm_detected(weights, pattern)
-            .ok()
-            .map(|a| (SpmmPlan::build(&a, f16_desc, &self.opts, &self.dev), a));
+        let mut f16_vnm = self.compress_vnm_detected(weights, pattern).ok().map(|a| {
+            let a = Arc::new(a);
+            let plan = FormatPlan::vnm(a.clone(), f16_desc, &self.opts, &self.dev);
+            (plan, a)
+        });
         let mut out: Vec<Arc<dyn MatmulPlan>> = Vec::new();
         if desc.dtype == DType::I8 {
             if let Some((f16_plan, a)) = &f16_vnm {
@@ -598,13 +513,13 @@ impl Engine {
         for &f in &MatmulFormat::ALL {
             match f {
                 MatmulFormat::Vnm => {
-                    if let Some((plan, a)) = &f16_vnm {
-                        out.push(Arc::new(plan.clone()));
+                    if let Some((plan, a)) = f16_vnm.take() {
+                        out.push(Arc::new(plan));
                         // The bandwidth-optimized non-mma variant competes
                         // over the same compression: its DRAM-byte pricing
                         // undercuts the mma stream left of the ridge point,
                         // so routing flips there — no hard-coded threshold.
-                        if let Ok(band) = BandPlan::build(a, f16_desc, &self.dev) {
+                        if let Ok(band) = BandPlan::build(&a, f16_desc, &self.dev) {
                             out.push(Arc::new(band));
                         }
                     }
@@ -666,7 +581,7 @@ mod tests {
         let mask = magnitude::prune_vnm(&w, cfg);
         let a = VnmMatrix::compress(&mask.apply_f32(&w).to_half(), &mask, cfg);
         let plan = engine.plan_spmm(&a);
-        assert_eq!(plan.b_cols_bound(), 128);
+        assert_eq!(plan.descriptor().b_cols, 128);
         let tile = plan.tile().expect("V = 32 is kernel-launchable");
         assert_eq!(tile.bs_r, 32);
         assert!(plan.timing().expect("priced at build").time_ms > 0.0);
@@ -678,17 +593,14 @@ mod tests {
         // to `partial_cmp(..).unwrap()`, so any candidate whose priced
         // cost came out NaN panicked `plan_auto` mid-`min_by`. Degenerate
         // inputs (an all-zero weight has zero stored values everywhere)
-        // must instead plan cleanly, and measured autotuning — whose
-        // comparator had the same bug — must survive them too.
+        // must instead plan cleanly.
         let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(32);
         let zero = Matrix::from_fn(64, 64, |_, _| 0.0f32).to_half();
         let desc = engine.descriptor(64, 64);
         let plan = engine.plan_auto(&desc, &zero);
         let b = random::normal_matrix(64, 8, 0.0, 1.0, 7).to_half();
         assert!(plan.run(&b).as_slice().iter().all(|&v| v == 0.0));
-        let measured = engine.plan_auto_measured(&desc, &zero, 1);
-        assert!(measured.run(&b).as_slice().iter().all(|&v| v == 0.0));
-        // The CVSE ladder (the third fixed site) prices the degenerate
+        // The CVSE ladder (the second fixed site) prices the degenerate
         // weight without panicking as well.
         let cvse = engine.plan_with_format(MatmulFormat::Cvse, &desc, &zero);
         assert!(cvse.is_ok(), "{cvse:?}");
@@ -707,12 +619,17 @@ mod tests {
         // sparse plans, from the engine's DeviceConfig.
         let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(256);
         let w = random::glorot_matrix(128, 256, 2).to_half();
-        let plan = engine.plan_gemm(&w);
-        let t = plan.timing().expect("plan_gemm attaches pricing");
+        let desc = engine.descriptor(128, 256);
+        let plan = engine
+            .plan_with_format(MatmulFormat::Dense, &desc, &w)
+            .unwrap();
+        let t = plan.timing().expect("the dense plan is priced");
         assert!(t.time_ms > 0.0);
         assert_eq!(plan.descriptor().b_cols, 256);
         // A wider bound prices at least as much work.
-        let wide = engine.plan_gemm_bounded(&w, 4096);
+        let wide = engine
+            .plan_with_format(MatmulFormat::Dense, &desc.with_b_cols(4096), &w)
+            .unwrap();
         assert!(wide.timing().unwrap().time_ms >= t.time_ms);
     }
 
@@ -987,25 +904,16 @@ mod tests {
         let w = vnm_weight(256, 320, cfg, 19);
         let desc = engine.descriptor(256, 320);
         // Even on a compute-bound bound the forced path is the band one.
-        let plan = engine.plan_band(&desc, &w).expect("eligible structure");
+        let plan = engine
+            .plan_band(&desc, &w, None)
+            .expect("eligible structure");
         assert_eq!(plan.path(), "band");
         let b = random::normal_matrix(320, 12, 0.0, 1.0, 20).to_half();
         assert_eq!(plan.run(&b), plan.run_oneshot(&b));
         // An i8 descriptor is rejected with the reason.
         let err = engine
-            .plan_band(&desc.with_dtype(DType::I8), &w)
+            .plan_band(&desc.with_dtype(DType::I8), &w, None)
             .unwrap_err();
         assert!(err.to_string().contains("i8"), "{err}");
-    }
-
-    #[test]
-    fn plan_auto_measured_returns_an_eligible_plan() {
-        let engine = Engine::new(DeviceConfig::rtx3090()).with_b_cols_hint(32);
-        let w = vnm_weight(64, 64, VnmConfig::new(16, 2, 8), 9);
-        let desc = engine.descriptor(64, 64);
-        let plan = engine.plan_auto_measured(&desc, &w, 2);
-        // Whatever won the measurement, it must execute exactly.
-        let b = random::normal_matrix(64, 8, 0.0, 1.0, 10).to_half();
-        assert_eq!(plan.run(&b), plan.run_oneshot(&b));
     }
 }

@@ -9,24 +9,21 @@
 //! [`Engine`] builds *plans* instead, behind one format-erased surface:
 //!
 //! * A [`MatmulDescriptor`] describes the matmul — weight shape, dtype,
-//!   bias/activation epilogue, and the output-column bound the plan is
-//!   tuned and priced for.
+//!   and the output-column bound the plan is tuned and priced for.
 //! * [`Engine::plan_auto`] compresses the weights into every format
 //!   their nonzero structure is eligible for (V:N:M, 2:4, CSR, CVSE,
 //!   Blocked-ELL, dense), prices each with its cost model on the target
 //!   device, and returns the cheapest as an `Arc<dyn `[`MatmulPlan`]`>` —
 //!   so a model mixes formats per layer and callers never name one.
-//!   [`Engine::plan_auto_measured`] adds a measured micro-autotune on
-//!   top of the cost model; [`Engine::plan_with_format`] pins a format
-//!   explicitly and reports *why* when the weights cannot serve it.
-//! * The specialised builders remain: [`SpmmPlan`] captures, at build
-//!   time, the autotuned [`TileConfig`] for the `(weight, b_cols)`
-//!   shape, the weight's f32-staged operands condensed into a per-row
-//!   `(value, B-row)` stream in the kernel's exact accumulation order,
-//!   and the priced launch. [`GemmPlan`] is the dense analogue, priced
-//!   on the cuBLAS model by [`Engine::plan_gemm`]; [`FormatPlan`] hosts
-//!   the remaining formats through the same condensed stream;
-//!   [`BandPlan`] is the bandwidth-optimized non-mma V:N:M variant
+//!   [`Engine::plan_with_format`] pins a format explicitly and reports
+//!   *why* when the weights cannot serve it.
+//! * There is one plan type per condensed stream. [`FormatPlan`] holds
+//!   any format's weight behind an `Arc` with its f32-staged operands
+//!   condensed into a per-row `(value, B-row)` stream in the kernel's
+//!   exact accumulation order, and the priced launch — for V:N:M
+//!   ([`Engine::plan_spmm`]) also the autotuned [`TileConfig`] for the
+//!   `(weight, b_cols)` shape; dense weights are priced on the cuBLAS
+//!   model. [`BandPlan`] is the bandwidth-optimized non-mma V:N:M variant
 //!   (FlashSparse-style swapped-operand replay, priced on DRAM bytes)
 //!   that [`Engine::plan_auto`] routes memory-bound shapes to; and
 //!   [`QuantSpmmPlan`] is the int8 sibling — descriptors with
@@ -61,12 +58,11 @@ pub mod stage;
 
 pub use attn::{
     attention_key, AttentionMask, AttentionPlan, AttnCacheStats, AttnPlanCache, SddmmPath,
-    SddmmPlan,
 };
-pub use descriptor::{DType, Epilogue, MatmulDescriptor};
+pub use descriptor::{DType, MatmulDescriptor};
 pub use engine::Engine;
 pub use matmul::{MatmulPlan, PlanError};
-pub use plan::{BandPlan, FormatPlan, GemmPlan, SpmmPlan};
+pub use plan::{BandPlan, FormatPlan};
 pub use qplan::QuantSpmmPlan;
 pub use serve::{
     CacheStats, FaultConfig, FaultPlan, FaultTrips, HealthReport, PlanBuildError, PlanCache,

@@ -3,11 +3,12 @@
 //!
 //! A [`MatmulPlan`] is the execute half of the cuSPARSELt-style
 //! descriptor/plan split: built once by the [`crate::Engine`] for one
-//! [`MatmulDescriptor`], replayed on every request. All five sparse
-//! formats and the dense path implement it — [`crate::SpmmPlan`]
-//! (V:N:M on the Spatha kernel), [`crate::GemmPlan`] (dense), and
-//! [`crate::FormatPlan`] (N:M, CSR, CVSE, Blocked-ELL through the
-//! condensed stream) — so layers, models and the CLI hold
+//! [`MatmulDescriptor`], replayed on every request. There is one plan
+//! type per condensed stream — [`crate::FormatPlan`] (every storage
+//! format: V:N:M on the Spatha kernel, dense, N:M, CSR, CVSE,
+//! Blocked-ELL), [`crate::BandPlan`] (the narrow non-mma V:N:M stream)
+//! and [`crate::QuantSpmmPlan`] (the int8 stream) — plus the serving
+//! layer's fault-injecting wrapper, so layers, models and the CLI hold
 //! `Arc<dyn MatmulPlan>` and mix formats per weight.
 //!
 //! Every plan carries two execution paths with one bitwise contract:
@@ -114,13 +115,11 @@ pub trait MatmulPlan: Send + Sync + std::fmt::Debug {
     /// Stored operand count of the condensed stream.
     fn stored_values(&self) -> usize;
 
-    /// Approximate resident bytes of the plan — the condensed stream's
-    /// per-operand value (`f32`) and source-row index (`u32`) planes
-    /// plus a fixed structural overhead. The currency of the serving
-    /// plan cache's byte budget ([`crate::serve::PlanCache`]).
-    fn approx_bytes(&self) -> usize {
-        64 + self.stored_values() * (core::mem::size_of::<f32>() + core::mem::size_of::<u32>())
-    }
+    /// Resident bytes of the plan: the condensed stream's planes (row
+    /// pointers included) plus the compressed weight the plan keeps. The
+    /// currency of the serving plan cache's byte budget
+    /// ([`crate::serve::PlanCache`]).
+    fn approx_bytes(&self) -> usize;
 
     /// Reconstructs the dense weight (pruned entries are zero) — used to
     /// re-plan a weight in another format.

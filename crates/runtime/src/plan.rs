@@ -11,13 +11,12 @@
 //! while touching each operand once, at full output width, instead of
 //! through per-call staging rebuilt on every dispatch.
 //!
-//! Four plan types share the execution surface (`StreamExec`) and
-//! implement the format-erased [`MatmulPlan`] trait: [`SpmmPlan`]
-//! (V:N:M, autotuned and priced on the Spatha cost model), [`GemmPlan`]
-//! (dense, priced on the cuBLAS model), [`FormatPlan`] (any other
-//! [`SparseKernel`], priced by its format's baseline model), and
-//! [`BandPlan`] (the bandwidth-optimized non-mma V:N:M path: a narrow
-//! f16-bits/u16-index stream executed with the FlashSparse-style
+//! Two plan types share the execution surface (`StreamExec`) and
+//! implement the format-erased [`MatmulPlan`] trait: [`FormatPlan`]
+//! (any [`SparseKernel`] — V:N:M autotuned and priced on the Spatha cost
+//! model, dense on the cuBLAS model, the baselines on their format's
+//! model) and [`BandPlan`] (the bandwidth-optimized non-mma V:N:M path:
+//! a narrow f16-bits/u16-index stream executed with the FlashSparse-style
 //! register-panel accumulator, priced on the CUDA-core roofline).
 
 use crate::arena;
@@ -25,6 +24,7 @@ use crate::descriptor::MatmulDescriptor;
 use crate::matmul::{MatmulPlan, PlanError};
 use crate::stage;
 use rayon::prelude::*;
+use std::any::Any;
 use std::sync::Arc;
 use venom_core::{SpmmOptions, TileConfig};
 use venom_format::{MatmulFormat, SparseKernel, VnmMatrix};
@@ -423,361 +423,45 @@ impl StreamExec for BandStream {
     }
 }
 
-/// A plan for `C = A * B` with a static V:N:M weight `A` — built once,
-/// run on every request.
+/// The Spatha launch a V:N:M plan keeps beside its weight: the autotuned
+/// tile it was priced with, and the options and device the per-call
+/// reference (`venom_core::spmm`) redoes tile selection with.
 #[derive(Clone, Debug)]
-pub struct SpmmPlan {
-    weight: VnmMatrix,
-    stream: Stream,
-    dev: DeviceConfig,
-    desc: MatmulDescriptor,
+struct SpathaLaunch {
+    tile: TileConfig,
     opts: SpmmOptions,
-    /// Autotuned instantiation at the planned bound; `None` when `V` is
-    /// below the kernel's 16-row fragment contract (the stream executes
-    /// any `V`; only the GPU pricing needs a launchable tile).
-    tile: Option<TileConfig>,
-    timing: Option<KernelTiming>,
-    counts: Option<KernelCounts>,
+    dev: DeviceConfig,
 }
 
-impl SpmmPlan {
-    /// Builds a plan; prefer [`crate::Engine::plan_spmm`].
-    pub(crate) fn build(
-        a: &VnmMatrix,
-        desc: MatmulDescriptor,
-        opts: &SpmmOptions,
-        dev: &DeviceConfig,
-    ) -> Self {
-        assert_eq!(
-            a.shape(),
-            (desc.out_features, desc.in_features),
-            "weight shape does not match the descriptor"
-        );
-        let stream = Stream::from_kernel(a);
-        let v = a.config().v;
-        let (tile, timing, counts) = if v >= 16 && v.is_multiple_of(16) {
-            let tile = opts
-                .tile
-                .unwrap_or_else(|| venom_core::autotune(a, desc.b_cols, opts, dev).0);
-            let counts = venom_core::build_counts(a, desc.b_cols, &tile, opts);
-            let timing = venom_sim::pipeline::simulate(dev, &counts).unwrap_or_else(|e| {
-                panic!(
-                    "planned configuration {tile} cannot launch on {}: {e:?}",
-                    dev.name
-                )
-            });
-            (Some(tile), Some(timing), Some(counts))
-        } else {
-            (None, None, None)
-        };
-        SpmmPlan {
-            weight: a.clone(),
-            stream,
-            dev: dev.clone(),
-            desc,
-            opts: *opts,
-            tile,
-            timing,
-            counts,
-        }
-    }
-
-    /// The compressed weight the plan executes.
-    pub fn weight(&self) -> &VnmMatrix {
-        &self.weight
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        self.weight.shape()
-    }
-
-    /// Stored nonzeros in the condensed stream.
-    pub fn nnz(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    /// The output-column bound the tile was tuned (and priced) for. Runs
-    /// beyond the bound stay exact; only the captured pricing assumes it.
-    pub fn b_cols_bound(&self) -> usize {
-        self.desc.b_cols
-    }
-
-    /// The autotuned template instantiation (`None` for V < 16 patterns,
-    /// which only the functional stream supports).
-    pub fn tile(&self) -> Option<TileConfig> {
-        self.tile
-    }
-
-    /// Simulated timing of one dispatch at the planned bound.
-    pub fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    /// Priced resource counts at the planned bound.
-    pub fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
-    /// Prices a dispatch at a different width with the planned tile.
-    pub fn price(&self, b_cols: usize, opts: &SpmmOptions) -> Option<KernelTiming> {
-        let tile = self.tile?;
-        let (r, k) = self.weight.shape();
-        let counts =
-            venom_core::build_counts_shape(r, k, b_cols, self.weight.config(), &tile, opts);
-        venom_sim::pipeline::simulate(&self.dev, &counts).ok()
-    }
-
-    /// Executes `C = A * B`; bit-identical to
-    /// `venom_core::spmm(&a, &b, ..).c` (and to `a.spmm_ref(&b)`).
-    ///
-    /// # Panics
-    /// Panics if `B` has a row count different from the planned K.
-    pub fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
-    }
-
-    /// One dispatch over many requests: concatenates the operands along
-    /// the output-column dimension, multiplies once, and splits the
-    /// result. Bit-identical to running each operand separately (columns
-    /// are independent in every path).
-    ///
-    /// # Panics
-    /// Panics if any operand has a row count different from the planned K.
-    pub fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
-    }
-
-    /// The fused layer forward `y = x W^T + b`: stages `x` through f16
-    /// rounding into the kernel orientation, runs the stream, and returns
-    /// the transposed-plus-bias output — bit-identical to the per-call
-    /// chain `spmm(&w, &x.to_half().transpose(), ..).c.transpose()` with
-    /// the bias added row-wise afterwards.
-    ///
-    /// # Panics
-    /// Panics on feature or bias length mismatch.
-    pub fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
-    }
-
-    /// [`Self::run_linear`] over a pre-staged operand (see
-    /// [`crate::stage::stage_activations_t`]); `tokens` is the activation
-    /// row count the buffer was staged from.
-    pub fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        self.stream.run_linear_staged(staged, tokens, bias)
-    }
-}
-
-impl MatmulPlan for SpmmPlan {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Vnm
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        SpmmPlan::timing(self)
-    }
-
-    fn counts(&self) -> Option<&KernelCounts> {
-        SpmmPlan::counts(self)
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        self.weight.decompress()
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        SpmmPlan::run(self, b)
-    }
-
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        SpmmPlan::run_batch(self, bs)
-    }
-
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        SpmmPlan::run_linear(self, x, bias)
-    }
-
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        SpmmPlan::run_linear_staged(self, staged, tokens, bias)
-    }
-
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        if self.tile.is_some() {
-            // The full per-call entry point: tile selection, pricing and
-            // staging redone on every dispatch.
-            venom_core::spmm(&self.weight, b, &self.opts, &self.dev).c
-        } else {
-            // V below the fragment contract has no launchable kernel; the
-            // compressed-format oracle is the per-call reference there.
-            self.weight.spmm_ref(b)
-        }
-    }
-}
-
-/// A plan for a dense half weight — the unpruned layers of a partially
-/// sparsified model go through the same plan/execute seam.
-#[derive(Clone, Debug)]
-pub struct GemmPlan {
-    weight: Matrix<Half>,
-    stream: Stream,
-    desc: MatmulDescriptor,
-    timing: Option<KernelTiming>,
-    counts: Option<KernelCounts>,
-}
-
-impl GemmPlan {
-    /// Plans a dense weight without pricing (no device in scope). Prefer
-    /// [`Engine::plan_gemm`], which attaches cost-model timing for the
-    /// engine's device.
-    ///
-    /// [`Engine::plan_gemm`]: crate::Engine::plan_gemm
-    pub fn new(w: &Matrix<Half>) -> Self {
-        GemmPlan {
-            weight: w.clone(),
-            stream: Stream::from_kernel(w),
-            desc: MatmulDescriptor::for_weight(w),
-            timing: None,
-            counts: None,
-        }
-    }
-
-    /// Plans a dense weight priced on the cuBLAS model at the
-    /// descriptor's column bound; prefer [`crate::Engine::plan_gemm`].
-    pub(crate) fn build(w: &Matrix<Half>, desc: MatmulDescriptor, dev: &DeviceConfig) -> Self {
-        desc.assert_matches(w);
-        GemmPlan {
-            weight: w.clone(),
-            stream: Stream::from_kernel(w),
-            desc,
-            timing: Some(crate::pricing::price_dense(desc.gemm_shape(), dev)),
-            counts: Some(crate::pricing::dense_counts(desc.gemm_shape(), dev)),
-        }
-    }
-
-    /// The dense weight the plan executes.
-    pub fn weight(&self) -> &Matrix<Half> {
-        &self.weight
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        (self.weight.rows(), self.weight.cols())
-    }
-
-    /// Cost-model timing of one dispatch at the planned bound (`None`
-    /// for plans built without a device via [`Self::new`]).
-    pub fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    /// Executes `C = W * B`; bit-identical to
-    /// `venom_tensor::gemm::gemm_parallel(&w, &b)` (and `gemm_ref`).
-    ///
-    /// # Panics
-    /// Panics if `B` has a row count different from the weight columns.
-    pub fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
-    }
-
-    /// Batched dispatch over concatenated requests (see
-    /// [`SpmmPlan::run_batch`]).
-    pub fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
-    }
-
-    /// The fused layer forward `y = x W^T + b`; bit-identical to the
-    /// per-call chain through `gemm_parallel` (see
-    /// [`SpmmPlan::run_linear`]).
-    ///
-    /// # Panics
-    /// Panics on feature or bias length mismatch.
-    pub fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
-    }
-
-    /// [`Self::run_linear`] over a pre-staged operand.
-    pub fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        self.stream.run_linear_staged(staged, tokens, bias)
-    }
-}
-
-impl MatmulPlan for GemmPlan {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Dense
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        GemmPlan::timing(self)
-    }
-
-    fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        self.weight.clone()
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        GemmPlan::run(self, b)
-    }
-
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        GemmPlan::run_batch(self, bs)
-    }
-
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        GemmPlan::run_linear(self, x, bias)
-    }
-
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        GemmPlan::run_linear_staged(self, staged, tokens, bias)
-    }
-
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        venom_tensor::gemm::gemm_parallel(&self.weight, b)
-    }
-}
-
-/// A plan over any [`SparseKernel`] — the N:M, CSR, CVSE and Blocked-ELL
-/// backends execute through it (V:N:M and dense have the specialised
-/// [`SpmmPlan`]/[`GemmPlan`], which capture extra format state).
+/// A plan over any [`SparseKernel`] — built once, run on every request.
+///
+/// Every storage format executes through it: V:N:M (autotuned and priced
+/// on the Spatha cost model), dense (priced on the cuBLAS model), and
+/// N:M, CSR, CVSE and Blocked-ELL (priced by their format's baseline
+/// model). The weight is held once, behind the `Arc`; the condensed
+/// stream replays it.
 #[derive(Clone, Debug)]
 pub struct FormatPlan {
     kernel: Arc<dyn SparseKernel>,
     stream: Stream,
     desc: MatmulDescriptor,
+    /// `None` unless the weight is V:N:M with a launchable tile (V a
+    /// multiple of 16; the stream executes any V, only the GPU pricing
+    /// needs the kernel's 16-row fragments).
+    launch: Option<SpathaLaunch>,
     timing: Option<KernelTiming>,
     counts: Option<KernelCounts>,
 }
 
 impl FormatPlan {
+    /// Plans a weight without pricing (no device in scope), described at
+    /// its own shape and the default column bound. The [`crate::Engine`]
+    /// builders attach cost-model timing instead.
+    pub fn new(kernel: Arc<dyn SparseKernel>) -> Self {
+        let (r, k) = kernel.shape();
+        Self::build_counted(kernel, MatmulDescriptor::new(r, k), None, None)
+    }
+
     /// Wraps a compressed kernel with its priced launch and the resource
     /// counts the timing was priced on (so the plan can report its
     /// roofline regime); built by [`crate::Engine::plan_with_format`] /
@@ -788,30 +472,72 @@ impl FormatPlan {
         timing: Option<KernelTiming>,
         counts: Option<KernelCounts>,
     ) -> Self {
-        let (r, k) = kernel.shape();
         assert_eq!(
-            (r, k),
+            kernel.shape(),
             (desc.out_features, desc.in_features),
-            "kernel/descriptor mismatch"
+            "weight shape does not match the descriptor"
         );
         let stream = Stream::from_kernel(kernel.as_ref());
         FormatPlan {
             kernel,
             stream,
             desc,
+            launch: None,
             timing,
             counts,
         }
     }
 
-    /// The compressed weight the plan executes.
-    pub fn kernel(&self) -> &dyn SparseKernel {
-        self.kernel.as_ref()
+    /// Plans a V:N:M weight on the Spatha kernel: autotunes the tile for
+    /// the descriptor's column bound and prices the launch. Prefer
+    /// [`crate::Engine::plan_spmm`].
+    pub(crate) fn vnm(
+        a: Arc<VnmMatrix>,
+        desc: MatmulDescriptor,
+        opts: &SpmmOptions,
+        dev: &DeviceConfig,
+    ) -> Self {
+        let mut plan = Self::build_counted(a.clone(), desc, None, None);
+        let v = a.config().v;
+        if v >= 16 && v.is_multiple_of(16) {
+            let tile = opts
+                .tile
+                .unwrap_or_else(|| venom_core::autotune(&a, desc.b_cols, opts, dev).0);
+            let counts = venom_core::build_counts(&a, desc.b_cols, &tile, opts);
+            let timing = venom_sim::pipeline::simulate(dev, &counts).unwrap_or_else(|e| {
+                panic!(
+                    "planned configuration {tile} cannot launch on {}: {e:?}",
+                    dev.name
+                )
+            });
+            plan.launch = Some(SpathaLaunch {
+                tile,
+                opts: *opts,
+                dev: dev.clone(),
+            });
+            plan.timing = Some(timing);
+            plan.counts = Some(counts);
+        }
+        plan
+    }
+
+    /// The weight as its concrete container (`VnmMatrix`,
+    /// `Matrix<Half>`, ...), or `None` when it is stored in another one.
+    pub fn weight<T: SparseKernel>(&self) -> Option<&T> {
+        let any: &dyn Any = self.kernel.as_ref();
+        any.downcast_ref()
     }
 
     /// Logical weight shape `(rows, k)`.
     pub fn shape(&self) -> (usize, usize) {
         self.kernel.shape()
+    }
+
+    /// The autotuned template instantiation of a V:N:M plan (`None` for
+    /// V < 16 patterns, which only the functional stream supports, and
+    /// for every other format).
+    pub fn tile(&self) -> Option<TileConfig> {
+        self.launch.as_ref().map(|l| l.tile)
     }
 }
 
@@ -834,6 +560,10 @@ impl MatmulPlan for FormatPlan {
 
     fn stored_values(&self) -> usize {
         self.stream.nnz()
+    }
+
+    fn approx_bytes(&self) -> usize {
+        self.stream.stream_bytes() as usize + self.kernel.compressed_bytes()
     }
 
     fn weight_dense(&self) -> Matrix<Half> {
@@ -862,17 +592,22 @@ impl MatmulPlan for FormatPlan {
     }
 
     fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        // The format's own per-call staged path (bit-identical to its
-        // spmm_ref, re-staging B on every dispatch).
-        self.kernel.spmm_parallel(b)
+        match (&self.launch, self.weight::<VnmMatrix>()) {
+            // The full Spatha entry point: tile selection, pricing and
+            // staging redone on every dispatch.
+            (Some(l), Some(a)) => venom_core::spmm(a, b, &l.opts, &l.dev).c,
+            // The format's own per-call staged path (bit-identical to its
+            // spmm_ref, re-staging B on every dispatch).
+            _ => self.kernel.spmm_parallel(b),
+        }
     }
 }
 
 /// The bandwidth-optimized non-mma plan for a V:N:M weight.
 ///
-/// Executes the same compressed operand as [`SpmmPlan`] but through the
-/// narrow `BandStream` replay, and is priced on the CUDA-core DRAM
-/// roofline ([`venom_core::build_counts_band`]) instead of the Spatha
+/// Executes the same compressed operand as a V:N:M [`FormatPlan`] but
+/// through the narrow `BandStream` replay, and is priced on the CUDA-core
+/// DRAM roofline ([`venom_core::build_counts_band`]) instead of the Spatha
 /// `mma.sp` pipeline — so on memory-bound shapes (small output widths,
 /// tall-skinny weights) its modelled cost undercuts the mma stream and
 /// [`crate::Engine::plan_auto`] routes to it at the ridge point. Results
@@ -975,9 +710,7 @@ impl MatmulPlan for BandPlan {
     }
 
     fn approx_bytes(&self) -> usize {
-        // 4 bytes per stored operand (f16 bits + u16 source index) plus
-        // the row pointers.
-        64 + self.stream.nnz() * 4 + (self.stream.rows + 1) * 4
+        self.stream.stream_bytes() as usize + self.weight.compressed_bytes()
     }
 
     fn weight_dense(&self) -> Matrix<Half> {
@@ -1030,9 +763,9 @@ mod tests {
         VnmMatrix::compress(&mask.apply_f32(&w).to_half(), &mask, cfg)
     }
 
-    fn build(a: &VnmMatrix, b_cols: usize) -> SpmmPlan {
+    fn build(a: &VnmMatrix, b_cols: usize) -> FormatPlan {
         let desc = MatmulDescriptor::new(a.shape().0, a.shape().1).with_b_cols(b_cols);
-        SpmmPlan::build(a, desc, &SpmmOptions::default(), &dev())
+        FormatPlan::vnm(Arc::new(a.clone()), desc, &SpmmOptions::default(), &dev())
     }
 
     #[test]
@@ -1045,6 +778,7 @@ mod tests {
         let want = spmm(&a, &b, &SpmmOptions::default(), &dev()).c;
         assert_eq!(got, want);
         assert_eq!(got, a.spmm_ref(&b));
+        assert_eq!(plan.run_oneshot(&b), want);
     }
 
     #[test]
@@ -1057,8 +791,8 @@ mod tests {
         let plan = build(&a, 16);
         assert!(plan.tile().is_none());
         assert_eq!(plan.run(&b), a.spmm_ref(&b));
-        // The erased per-call path falls back to the oracle there.
-        assert_eq!(MatmulPlan::run_oneshot(&plan, &b), a.spmm_ref(&b));
+        // The per-call path falls back to the format's staged kernel.
+        assert_eq!(plan.run_oneshot(&b), a.spmm_ref(&b));
     }
 
     #[test]
@@ -1101,7 +835,7 @@ mod tests {
     fn gemm_plan_matches_gemm_parallel() {
         let w = random::normal_matrix(33, 29, 0.0, 1.0, 11).to_half();
         let b = random::normal_matrix(29, 21, 0.0, 1.0, 12).to_half();
-        let plan = GemmPlan::new(&w);
+        let plan = FormatPlan::new(Arc::new(w.clone()));
         assert_eq!(plan.run(&b), gemm::gemm_parallel(&w, &b));
         assert!(plan.timing().is_none(), "unpriced without a device");
         // Batched dense dispatch equals separate runs too.
@@ -1115,7 +849,7 @@ mod tests {
         let w = random::normal_matrix(24, 40, 0.0, 1.0, 13).to_half();
         let bias: Vec<f32> = (0..24).map(|i| (i as f32).sin()).collect();
         let x = random::activation_matrix(15, 40, 14);
-        let plan = GemmPlan::new(&w);
+        let plan = FormatPlan::new(Arc::new(w.clone()));
         let got = plan.run_linear(&x, &bias);
         assert_eq!(got, MatmulPlan::run_linear_percall(&plan, &x, &bias));
         let xt = x.to_half().transpose();
@@ -1150,6 +884,33 @@ mod tests {
             plan.run_linear(&x, &bias),
             plan.run_linear_percall(&x, &bias)
         );
+    }
+
+    #[test]
+    fn approx_bytes_counts_stream_planes_and_the_held_weight() {
+        let cfg = VnmConfig::new(32, 2, 8);
+        let a = vnm_fixture(64, 96, cfg, 31);
+        let weight = a.compressed_bytes();
+        let row_ptr = 65 * 4;
+        // f32 value + u32 source per operand.
+        let plan = build(&a, 16);
+        let nnz = plan.stored_values();
+        assert_eq!(plan.approx_bytes(), nnz * 8 + row_ptr + weight);
+        // f16 bits + u16 source per operand.
+        let band = band_build(&a, 16);
+        assert_eq!(band.approx_bytes(), nnz * 4 + row_ptr + weight);
+        // i16 code + u32 source per operand, plus the quantized weight.
+        let desc = MatmulDescriptor::new(64, 96).with_b_cols(16);
+        let calib = venom_quant::Calibration::AbsMax;
+        let q =
+            crate::QuantSpmmPlan::build(&a, calib, calib, desc, &SpmmOptions::default(), &dev());
+        let qweight = q.weight().compressed_bytes();
+        assert_eq!(q.approx_bytes(), q.stored_values() * 6 + row_ptr + qweight);
+        // A dense plan's budget sees the f16 weight it keeps.
+        let w = random::normal_matrix(48, 40, 0.0, 1.0, 32).to_half();
+        let dense = FormatPlan::new(Arc::new(w.clone()));
+        let dense_nnz = dense.stored_values();
+        assert_eq!(dense.approx_bytes(), dense_nnz * 8 + 49 * 4 + 48 * 40 * 2);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The int8-quantized execution plan: the i32-accumulating sibling of
-//! [`crate::SpmmPlan`].
+//! the V:N:M [`crate::FormatPlan`].
 //!
 //! A [`QuantSpmmPlan`] captures, at build time, the calibrated
 //! [`QuantVnmMatrix`] (per-output-channel symmetric scales), its operand
@@ -30,7 +30,7 @@ use crate::matmul::MatmulPlan;
 use crate::stage;
 use rayon::prelude::*;
 use venom_core::{SpmmOptions, TileConfig};
-use venom_format::{MatmulFormat, QuantVnmMatrix, VnmMatrix};
+use venom_format::{MatmulFormat, QuantVnmMatrix, SparseKernel, VnmMatrix};
 use venom_fp16::Half;
 use venom_quant::{calibrate, Calibration};
 use venom_sim::pipeline::KernelCounts;
@@ -88,6 +88,12 @@ impl IntStream {
 
     fn nnz(&self) -> usize {
         self.vals.len()
+    }
+
+    /// Resident bytes: i16 code + u32 source per operand, plus the row
+    /// pointers.
+    fn stream_bytes(&self) -> usize {
+        self.vals.len() * 2 + self.srcs.len() * 4 + self.row_ptr.len() * 4
     }
 
     /// Accumulates one output row's stream chain into `orow` — THE
@@ -354,8 +360,12 @@ impl MatmulPlan for QuantSpmmPlan {
         self.stream.nnz()
     }
 
+    fn approx_bytes(&self) -> usize {
+        self.stream.stream_bytes() + self.weight.compressed_bytes()
+    }
+
     fn weight_dense(&self) -> Matrix<Half> {
-        venom_format::SparseKernel::to_dense(&self.weight)
+        self.weight.to_dense()
     }
 
     fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
@@ -548,8 +558,8 @@ mod tests {
         let plan = build(&a, 1024);
         assert_eq!(plan.descriptor().dtype, DType::I8);
         let t8 = plan.timing().expect("launchable V is priced").time_ms;
-        let f16 = crate::plan::SpmmPlan::build(
-            &a,
+        let f16 = crate::FormatPlan::vnm(
+            std::sync::Arc::new(a),
             MatmulDescriptor::new(128, 1024).with_b_cols(1024),
             &SpmmOptions::default(),
             &dev(),

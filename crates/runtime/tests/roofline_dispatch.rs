@@ -124,7 +124,7 @@ fn band_paths_are_bit_identical_across_the_config_grid() {
             let engine = Engine::new(dev()).with_b_cols_hint(24);
             let desc = engine.descriptor(r, k);
             let band = engine
-                .plan_band_hinted(&desc, &w, Some(cfg))
+                .plan_band(&desc, &w, Some(cfg))
                 .expect("K fits 16-bit indices");
             let mma = engine
                 .plan_with_format(MatmulFormat::Vnm, &desc, &w)

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use venom_fp16::Half;
     pub use venom_quant::Calibration;
     pub use venom_runtime::{
-        DType, Engine, GemmPlan, MatmulDescriptor, MatmulPlan, PlanError, QuantSpmmPlan, SpmmPlan,
+        DType, Engine, FormatPlan, MatmulDescriptor, MatmulPlan, PlanError, QuantSpmmPlan,
     };
     pub use venom_sim::{DeviceConfig, KernelTiming};
     pub use venom_tensor::{GemmShape, Matrix};

@@ -5,13 +5,15 @@
 //! compress → plan → run chain is bit-identical to the format's own
 //! `spmm_ref` oracle — across the V x N:M grid, including an
 //! all-dense (unpruned) weight and weights with fully empty rows. The
-//! same harness checks the per-call trait path and the fused linear
-//! chain, so any new `SparseKernel` implementor inherits the whole
-//! contract by being added to one list.
+//! same harness checks the per-call trait path and the fused (and
+//! pre-staged) linear chain, so any new `SparseKernel` implementor
+//! inherits the whole contract by being added to one list.
 
+use std::sync::Arc;
 use venom::format::{MatmulFormat, SparseKernel, SparsityMask};
 use venom::prelude::*;
 use venom::pruner::magnitude;
+use venom::runtime::stage;
 use venom::tensor::random;
 
 /// The conformance grid: every supported vector length crossed with the
@@ -37,9 +39,24 @@ const ALWAYS_ELIGIBLE: [MatmulFormat; 4] = [
 /// reconstruction oracle and per-call dispatch.
 fn check_format(engine: &Engine, format: MatmulFormat, weights: &Matrix<Half>, tag: &str) {
     let desc = engine.descriptor(weights.rows(), weights.cols());
-    let plan = engine
-        .plan_with_format(format, &desc, weights)
-        .unwrap_or_else(|e| panic!("{tag}: {e}"));
+    let plan_in = |w: &Matrix<Half>| {
+        engine
+            .plan_with_format(format, &desc, w)
+            .unwrap_or_else(|e| panic!("{tag}: {e}"))
+    };
+    check_plan(format, weights, plan_in, tag);
+}
+
+/// [`check_format`]'s contract for any planner: `plan_in` plans a weight
+/// in `format` (it is called on `weights` and on the plan's dense
+/// reconstruction).
+fn check_plan(
+    format: MatmulFormat,
+    weights: &Matrix<Half>,
+    plan_in: impl Fn(&Matrix<Half>) -> Arc<dyn MatmulPlan>,
+    tag: &str,
+) {
+    let plan = plan_in(weights);
     assert_eq!(plan.format(), format, "{tag}");
 
     // compress -> plan -> run must reproduce the format's spmm_ref (the
@@ -50,9 +67,7 @@ fn check_format(engine: &Engine, format: MatmulFormat, weights: &Matrix<Half>, t
 
     // The compression is lossless over the kept entries: re-planning the
     // dense reconstruction in the same format reproduces the same bits.
-    let replanned = engine
-        .plan_with_format(format, &desc, &plan.weight_dense())
-        .unwrap_or_else(|e| panic!("{tag}: re-plan: {e}"));
+    let replanned = plan_in(&plan.weight_dense());
     assert_eq!(replanned.run(&b), got, "{tag}: re-planned reconstruction");
 
     // Batched dispatch equals separate runs.
@@ -66,10 +81,18 @@ fn check_format(engine: &Engine, format: MatmulFormat, weights: &Matrix<Half>, t
     let bias: Vec<f32> = (0..weights.rows())
         .map(|i| (i as f32) * 0.01 - 0.2)
         .collect();
+    let fused = plan.run_linear(&x, &bias);
     assert_eq!(
-        plan.run_linear(&x, &bias),
+        fused,
         plan.run_linear_percall(&x, &bias),
         "{tag}: fused linear"
+    );
+    // And over an operand staged once for sibling layers.
+    let staged = stage::stage_activations_t(&x);
+    assert_eq!(
+        plan.run_linear_staged(&staged, x.rows(), &bias),
+        fused,
+        "{tag}: staged linear"
     );
 }
 
@@ -102,10 +125,23 @@ fn every_format_conforms_across_the_vnm_grid() {
             check_kernel_oracle(&vnm, &b, &format!("{tag} vnm"));
             let plan = engine.plan_spmm(&vnm);
             assert_eq!(plan.run(&b), vnm.spmm_ref(&b), "{tag}: vnm plan vs oracle");
+            check_plan(
+                MatmulFormat::Vnm,
+                &pruned,
+                |w| Arc::new(engine.plan_spmm(&VnmMatrix::compress(w, &mask, cfg))),
+                &format!("{tag} plan_spmm"),
+            );
 
             for f in ALWAYS_ELIGIBLE {
                 check_format(&engine, f, &pruned, &format!("{tag} {f}"));
             }
+            // The unpriced dense plan a `Linear` layer holds.
+            check_plan(
+                MatmulFormat::Dense,
+                &pruned,
+                |w| Arc::new(FormatPlan::new(Arc::new(w.clone()))),
+                &format!("{tag} unpriced dense"),
+            );
             // The engine's vnm path re-detects the pattern from zeros —
             // only for kernel-launchable V (the probed grid starts at 16;
             // V=8 weights plan through `plan_spmm` as above).
