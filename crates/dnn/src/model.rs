@@ -12,10 +12,12 @@
 //! [`SparseTransformerEncoder::forward_batch`] runs every sequence
 //! through the same plans.
 
+use crate::attention::SparseAttention;
 use crate::layers::{ExecPath, LayerNorm, PlanStrategy};
 use crate::transformer::{EncoderBlock, SparseEncoderBlock, TransformerConfig};
+use std::sync::Arc;
 use venom_format::{MatmulFormat, VnmConfig};
-use venom_runtime::{AttentionMask, AttnPlanCache, Engine, PlanCache, PlanError};
+use venom_runtime::{AttentionMask, Engine, PlanCache, PlanError};
 use venom_tensor::Matrix;
 
 /// A dense encoder stack.
@@ -157,8 +159,9 @@ impl SparseTransformerEncoder {
 
     /// Adopts the planned masked-attention pipeline in every block for
     /// sequences of length `seq` under `mask`. All layers share one
-    /// `(seq, hidden, heads, mask)` shape, so one plan is built and
-    /// every block re-arcs it through a fresh [`AttnPlanCache`].
+    /// `(seq, hidden, heads, mask)` shape, so the plan is built once and
+    /// every block holds the same `Arc`. Planning happens before any
+    /// block changes, so a failed build leaves the stack unadopted.
     ///
     /// # Errors
     /// Propagates [`PlanError::Unplannable`] from the plan build.
@@ -168,9 +171,12 @@ impl SparseTransformerEncoder {
         seq: usize,
         mask: &AttentionMask,
     ) -> Result<(), PlanError> {
-        let cache = AttnPlanCache::new();
+        let plan = engine.plan_attention(seq, self.config.hidden, self.config.heads, mask)?;
         for block in &mut self.blocks {
-            block.adopt_planned_attention_cached(engine, seq, mask, &cache)?;
+            block.planned_attn = Some(SparseAttention {
+                mha: block.mha.clone(),
+                plan: Arc::clone(&plan),
+            });
         }
         Ok(())
     }
@@ -433,7 +439,7 @@ mod tests {
         // attention core in the loop.
         let x = random::activation_matrix(16, 32, 16);
         assert_eq!(sparse.forward(&x), sparse.forward_percall(&x));
-        // All layers share one plan (one shape, shared cache).
+        // All layers share one plan (one shape, one build).
         let p0 = &sparse.blocks[0].planned_attn.as_ref().unwrap().plan;
         let p1 = &sparse.blocks[1].planned_attn.as_ref().unwrap().plan;
         assert!(std::sync::Arc::ptr_eq(p0, p1));
@@ -447,6 +453,18 @@ mod tests {
         let plain = model.sparsify(&eng, VnmConfig::new(16, 2, 8));
         assert_ne!(sparse.forward(&x), plain.forward(&x));
         assert_eq!(plain.attention_census(), vec![("dense".to_string(), 2)]);
+    }
+
+    #[test]
+    fn unplannable_mask_leaves_the_stack_unadopted() {
+        let eng = engine();
+        let mut sparse =
+            TransformerEncoder::new(mini(), 17).sparsify(&eng, VnmConfig::new(16, 2, 8));
+        let err = sparse
+            .adopt_planned_attention(&eng, 16, &AttentionMask::SlidingWindow { window: 0 })
+            .unwrap_err();
+        assert!(matches!(err, PlanError::Unplannable { .. }), "{err}");
+        assert_eq!(sparse.attention_census(), vec![("dense".to_string(), 2)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 
 use crate::attention::{MultiHeadAttention, SparseAttention};
 use crate::layers::{gelu, ExecPath, LayerNorm, Linear, PlanStrategy, PlannedLinear};
-use venom_runtime::{AttentionMask, AttnPlanCache, Engine, PlanCache, PlanError};
+use venom_runtime::{Engine, PlanCache, PlanError};
 use venom_tensor::Matrix;
 
 /// Architecture hyperparameters of a transformer.
@@ -146,9 +146,9 @@ impl EncoderBlock {
 pub struct SparseEncoderBlock {
     /// Self-attention with planned projections.
     pub mha: MultiHeadAttention,
-    /// Planned masked attention adopted via
-    /// [`Self::adopt_planned_attention`]; `None` keeps the dense
-    /// bidirectional attention core.
+    /// Planned masked attention adopted stack-wide via
+    /// [`crate::SparseTransformerEncoder::adopt_planned_attention`];
+    /// `None` keeps the dense bidirectional attention core.
     pub planned_attn: Option<SparseAttention>,
     /// First planned feed-forward linear.
     pub ff1: PlannedLinear,
@@ -233,53 +233,6 @@ impl SparseEncoderBlock {
             ln1: block.ln1.clone(),
             ln2: block.ln2.clone(),
         })
-    }
-
-    /// Adopts a planned masked-attention pipeline for this block: the
-    /// attention core switches from the dense bidirectional chain to the
-    /// [`SparseAttention`] plan for `(seq, mask)` — the per-layer opt-in
-    /// the encoder stack's
-    /// [`crate::SparseTransformerEncoder::adopt_planned_attention`] applies
-    /// stack-wide. The projections keep their existing weight plans.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError::Unplannable`] from the plan build.
-    pub fn adopt_planned_attention(
-        &mut self,
-        engine: &Engine,
-        seq: usize,
-        mask: &AttentionMask,
-    ) -> Result<(), PlanError> {
-        self.planned_attn = Some(SparseAttention::from_mha(
-            self.mha.clone(),
-            engine,
-            seq,
-            mask,
-        )?);
-        Ok(())
-    }
-
-    /// [`Self::adopt_planned_attention`] resolving the plan through a
-    /// shared [`AttnPlanCache`] — every layer with the same
-    /// `(seq, hidden, heads, mask)` shares one plan build.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError`] from the build; failures are not cached.
-    pub fn adopt_planned_attention_cached(
-        &mut self,
-        engine: &Engine,
-        seq: usize,
-        mask: &AttentionMask,
-        cache: &AttnPlanCache,
-    ) -> Result<(), PlanError> {
-        self.planned_attn = Some(SparseAttention::from_mha_cached(
-            self.mha.clone(),
-            engine,
-            seq,
-            mask,
-            cache,
-        )?);
-        Ok(())
     }
 
     /// The six planned weight tensors of the block.

@@ -448,29 +448,6 @@ impl Engine {
         crate::AttentionPlan::build(seq, hidden, heads, *mask, &self.dev).map(Arc::new)
     }
 
-    /// [`Self::plan_attention`] through an [`crate::AttnPlanCache`]:
-    /// the `(shape, mask)` key is looked up first and the plan is built
-    /// at most once per key across every layer and request sharing the
-    /// cache.
-    ///
-    /// # Errors
-    /// Propagates [`PlanError`] from the build; failures are not cached.
-    pub fn plan_attention_cached(
-        &self,
-        seq: usize,
-        hidden: usize,
-        heads: usize,
-        mask: &crate::AttentionMask,
-        cache: &crate::AttnPlanCache,
-    ) -> Result<Arc<crate::AttentionPlan>, PlanError> {
-        let key = crate::attn::attention_key(seq, hidden, heads, mask);
-        let mask = *mask;
-        let dev = self.dev.clone();
-        cache.get_or_build(key, move || {
-            crate::AttentionPlan::build(seq, hidden, heads, mask, &dev)
-        })
-    }
-
     /// Every plan the weight structure is eligible for, priced; the
     /// V:N:M candidate honours a caller-supplied pattern hint, and an
     /// `i8` descriptor adds the quantized V:N:M candidate to the pool.

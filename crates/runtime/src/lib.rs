@@ -56,9 +56,7 @@ pub mod qplan;
 pub mod serve;
 pub mod stage;
 
-pub use attn::{
-    attention_key, AttentionMask, AttentionPlan, AttnCacheStats, AttnPlanCache, SddmmPath,
-};
+pub use attn::{AttentionMask, AttentionPlan, SddmmPath};
 pub use descriptor::{DType, MatmulDescriptor};
 pub use engine::Engine;
 pub use matmul::{MatmulPlan, PlanError};

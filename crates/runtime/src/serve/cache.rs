@@ -1,11 +1,11 @@
-//! The process-wide plan cache: descriptor-keyed, build-once, LRU under
-//! a byte budget, with bounded-wait builds so one stuck builder cannot
-//! wedge a key.
+//! The plan cache: descriptor-keyed, build-once, LRU under a byte
+//! budget, with bounded-wait builds so one stuck builder cannot wedge a
+//! key.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use super::sync::{lock_recover, wait_recover, wait_timeout_recover};
@@ -179,8 +179,7 @@ struct Inner {
 /// A thread-safe, build-once plan cache with LRU eviction under a byte
 /// budget.
 ///
-/// See the module docs for the role it plays in serving; see
-/// [`PlanCache::global`] for the process-wide instance.
+/// See the module docs for the role it plays in serving.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -208,7 +207,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Default byte budget of [`PlanCache::new`] and the global cache:
+    /// Default byte budget of [`PlanCache::new`]:
     /// roomy enough for every layer plan of a BERT-large-scale stack.
     pub const DEFAULT_BYTE_BUDGET: usize = 512 << 20;
 
@@ -237,13 +236,6 @@ impl PlanCache {
             obs_evictions: reg.counter("cache_evictions_total", &labels),
             obs_builds: reg.counter("cache_builds_total", &labels),
         }
-    }
-
-    /// The process-wide cache every serving entry point shares by
-    /// default — hot models stay planned across servers and threads.
-    pub fn global() -> &'static Arc<PlanCache> {
-        static GLOBAL: OnceLock<Arc<PlanCache>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(PlanCache::new()))
     }
 
     /// The configured byte budget.
@@ -343,7 +335,7 @@ impl PlanCache {
         };
         slot.ready.notify_all();
         match built {
-            Some(bytes) => self.note_built(key, bytes),
+            Some(bytes) => self.note_built(key, slot, bytes),
             None => self.remove_if_unbuilt(key, slot),
         }
     }
@@ -364,7 +356,9 @@ impl PlanCache {
     /// [`Self::get_or_plan`] with a fallible builder. A failed build
     /// removes the key's (empty) entry so a later request can retry; the
     /// error is returned to the caller that ran the build, while racing
-    /// waiters fall back to running their own builder.
+    /// waiters fall back to running their own builder. A panicking
+    /// builder counts as a failed build the same way, then the panic
+    /// resumes in the caller.
     ///
     /// # Errors
     /// Propagates the builder's error.
@@ -389,7 +383,14 @@ impl PlanCache {
         }
         // Build election won: run the builder with no lock held.
         let started = Instant::now();
-        match build() {
+        let built = catch_unwind(AssertUnwindSafe(build)).unwrap_or_else(|panic| {
+            // Publish the failure before unwinding on, or the slot would
+            // stay `building` and every later caller for the key would
+            // wait on it forever.
+            self.finish_build(&key, &slot, Err(panic_reason(&*panic)));
+            resume_unwind(panic)
+        });
+        match built {
             Ok(plan) => {
                 // Spans cover successful builds only, so the trace's
                 // `plan_build` count matches the registry `builds` counter.
@@ -478,7 +479,7 @@ impl PlanCache {
             let started = Instant::now();
             let result = match catch_unwind(AssertUnwindSafe(build)) {
                 Ok(r) => r,
-                Err(panic) => Err(panic_reason(&panic)),
+                Err(panic) => Err(panic_reason(&*panic)),
             };
             if result.is_ok() {
                 venom_obs::trace::record_complete("plan_build", "cache", started, None);
@@ -529,10 +530,19 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Records a finished build's size and runs the LRU sweep.
-    fn note_built(&self, key: &PlanKey, bytes: usize) {
+    /// Records a finished build's size and runs the LRU sweep. A waiter
+    /// that took over after a failed build may have built on a slot the
+    /// failure already unmapped; that slot is mapped again so its plan
+    /// stays resident.
+    fn note_built(&self, key: &PlanKey, slot: &Arc<Slot>, bytes: usize) {
         let mut inner = lock_recover(&self.inner);
-        if let Some(e) = inner.entries.get_mut(key) {
+        let last_used = inner.tick;
+        let e = inner.entries.entry(*key).or_insert_with(|| Entry {
+            slot: Arc::clone(slot),
+            last_used,
+            bytes: 0,
+        });
+        if Arc::ptr_eq(&e.slot, slot) {
             e.bytes = bytes;
         }
         self.evict_over_budget(&mut inner);

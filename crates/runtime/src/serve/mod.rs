@@ -7,10 +7,11 @@
 //! dispatched together instead of one at a time. This module is that
 //! layer, in three pieces:
 //!
-//! * [`PlanCache`] — a process-wide, thread-safe plan cache keyed by
+//! * [`PlanCache`] — a thread-safe plan cache, shared by `Arc`, keyed by
 //!   [`crate::MatmulDescriptor`] (plus a weight fingerprint, so two
 //!   same-shape models never alias). Plans build exactly once per key
-//!   no matter how many threads race the first request; eviction is LRU
+//!   no matter how many threads race the first request, and a builder
+//!   that fails or panics releases the key for a retry; eviction is LRU
 //!   under a configurable byte budget and never drops a plan a caller
 //!   still holds; hit/miss/eviction/build counters are exposed for the
 //!   steady-state hit-ratio contract. [`PlanCache::warm`] builds a cold

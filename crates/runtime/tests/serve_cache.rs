@@ -1,14 +1,16 @@
 //! Concurrency and residency contracts of the shared plan cache:
 //! exactly-once builds under racing threads, LRU eviction that never
-//! drops an in-flight plan, counter accuracy, and failed-build retry.
+//! drops an in-flight plan, counter accuracy, and retry after a failed or
+//! panicked build.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use venom_format::{MatmulFormat, VnmConfig};
 use venom_fp16::Half;
 use venom_pruner::magnitude;
-use venom_runtime::{Engine, MatmulPlan, PlanCache, PlanKey};
+use venom_runtime::{Engine, MatmulPlan, PlanBuildError, PlanCache, PlanKey};
 use venom_sim::DeviceConfig;
 use venom_tensor::{random, Matrix};
 
@@ -194,6 +196,81 @@ fn failed_builds_clear_the_slot_so_retries_can_succeed() {
         .expect("retry after failed build");
     assert_eq!(cache.stats().builds, 1);
     assert!(Arc::ptr_eq(&plan, &cache.get(&key).unwrap()));
+}
+
+#[test]
+fn a_panicking_builder_does_not_wedge_its_key() {
+    let engine = engine();
+    let w = pruned_weight(64, 64, 45);
+    let key = PlanKey::for_weight(engine.descriptor(64, 64), &w);
+    let cache = Arc::new(PlanCache::new());
+    let bound = Duration::from_secs(10);
+
+    let (started_tx, started_rx) = mpsc::channel();
+    let panicker = {
+        let cache = Arc::clone(&cache);
+        std::thread::spawn(move || {
+            cache.get_or_plan(key, || {
+                started_tx.send(()).unwrap();
+                // Hold the build open until the racer has found the
+                // building slot, then give it time to block on it.
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while cache.stats().hits == 0 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(50));
+                panic!("builder failed mid-build");
+            })
+        })
+    };
+    let (tx, rx) = mpsc::channel();
+    let spawn_caller = |cache: &Arc<PlanCache>| {
+        let (cache, engine, w, tx) = (Arc::clone(cache), engine.clone(), w.clone(), tx.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send(cache.get_or_plan(key, || build_plan(&engine, &w)));
+        });
+    };
+    started_rx
+        .recv_timeout(bound)
+        .expect("the panicking build started");
+    spawn_caller(&cache);
+    assert!(
+        panicker.join().is_err(),
+        "the builder's panic must reach its caller"
+    );
+    let racer = rx
+        .recv_timeout(bound)
+        .expect("the racer stayed blocked on the panicked build");
+    spawn_caller(&cache);
+    let fresh = rx
+        .recv_timeout(bound)
+        .expect("a fresh caller stayed blocked on the panicked key");
+
+    assert!(
+        Arc::ptr_eq(&racer, &fresh),
+        "the retried plan must be resident"
+    );
+    let stats = cache.stats();
+    assert_eq!(stats.failed_builds, 1, "{stats:?}");
+    assert_eq!(stats.builds, 1, "{stats:?}");
+}
+
+#[test]
+fn a_panicking_deadline_build_reports_the_panic_message() {
+    let engine = engine();
+    let key = PlanKey::bare(engine.descriptor(64, 64));
+    let cache = Arc::new(PlanCache::new());
+    let err = cache
+        .get_or_plan_deadline(
+            key,
+            || -> Result<Arc<dyn MatmulPlan>, String> { panic!("no kernel for this shape") },
+            Duration::from_secs(10),
+        )
+        .unwrap_err();
+    assert_eq!(
+        err,
+        PlanBuildError::Failed("builder panicked: no kernel for this shape".to_string())
+    );
 }
 
 #[test]
