@@ -15,7 +15,7 @@
 use crate::layers::{softmax_rows, ExecPath, Linear, PlanStrategy, PlannedLinear};
 use std::sync::Arc;
 use venom_format::VnmConfig;
-use venom_runtime::{stage, AttentionMask, AttentionPlan, Engine, PlanCache, PlanError};
+use venom_runtime::{stage, AttentionMask, AttentionPlan, Engine, PlanError};
 use venom_tensor::{gemm, Matrix};
 
 /// Multi-head self-attention over a single sequence.
@@ -83,41 +83,6 @@ impl MultiHeadAttention {
         cfg: VnmConfig,
         strategy: PlanStrategy,
     ) -> Result<(), PlanError> {
-        self.sparsify_inner(cfg, |lin, mask| {
-            lin.to_sparse_with(engine, mask, cfg, strategy)
-        })
-    }
-
-    /// [`Self::sparsify_with`] resolving every projection's plan through
-    /// a shared [`PlanCache`] — projections already planned under the
-    /// same strategy (by any thread or replica stack) reuse the cached
-    /// plan instead of re-compressing and re-tuning.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve a pruned
-    /// projection.
-    pub fn sparsify_cached(
-        &mut self,
-        engine: &Engine,
-        cfg: VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<(), PlanError> {
-        self.sparsify_inner(cfg, |lin, mask| {
-            lin.to_sparse_cached(engine, mask, cfg, strategy, cache)
-        })
-    }
-
-    /// The shared sparsify body: prune each still-dense projection and
-    /// plan it through `plan_one`.
-    fn sparsify_inner(
-        &mut self,
-        cfg: VnmConfig,
-        mut plan_one: impl FnMut(
-            &Linear,
-            &venom_format::SparsityMask,
-        ) -> Result<PlannedLinear, PlanError>,
-    ) -> Result<(), PlanError> {
         for proj in [&mut self.wq, &mut self.wk, &mut self.wv, &mut self.wo] {
             if proj.format() != venom_format::MatmulFormat::Dense {
                 continue;
@@ -125,7 +90,7 @@ impl MultiHeadAttention {
             let w = proj.plan.weight_dense();
             let lin = Linear::from_half(&w, proj.bias.clone());
             let mask = venom_pruner::magnitude::prune_vnm(&w.to_f32(), cfg);
-            *proj = plan_one(&lin, &mask)?;
+            *proj = lin.to_sparse_with(engine, &mask, cfg, strategy)?;
         }
         Ok(())
     }

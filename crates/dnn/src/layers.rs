@@ -18,9 +18,7 @@
 use std::sync::Arc;
 use venom_format::{MatmulFormat, SparsityMask, VnmConfig, VnmMatrix};
 use venom_fp16::Half;
-use venom_runtime::{
-    Calibration, DType, Engine, FormatPlan, MatmulPlan, PlanCache, PlanError, PlanKey,
-};
+use venom_runtime::{Calibration, DType, Engine, FormatPlan, MatmulPlan, PlanError};
 use venom_tensor::Matrix;
 
 /// Which of a layer's two bit-identical execution paths to take.
@@ -50,7 +48,7 @@ pub enum PlanStrategy {
     Format(MatmulFormat),
     /// Compress to V:N:M and quantize to the calibrated int8 container:
     /// the i32-accumulating plan with the dequantization scale folded
-    /// into the epilogue (the [`crate::QuantizedLinear`] path).
+    /// into the epilogue, activations quantized per call.
     Quantized(Calibration),
     /// Automatic selection with int8 allowed: every f16 format competes
     /// with the quantized V:N:M candidate on the same cost currency, per
@@ -173,117 +171,31 @@ impl Linear {
         strategy: PlanStrategy,
     ) -> Result<PlannedLinear, PlanError> {
         let pruned = mask.apply_half(self.weight());
-        Ok(PlannedLinear {
-            plan: Self::plan_pruned(engine, &pruned, mask, cfg, strategy)?,
-            bias: self.bias.clone(),
-        })
-    }
-
-    /// [`Self::to_sparse_with`] resolved through a shared [`PlanCache`]:
-    /// a weight already planned under the same strategy (by any thread,
-    /// in any stack) reuses the cached plan instead of re-pruning,
-    /// re-compressing and re-tuning — the path serving stacks take so
-    /// identical models cost one planning pass, not one per replica.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve the
-    /// pruned weight's structure (failed builds are not cached).
-    pub fn to_sparse_cached(
-        &self,
-        engine: &Engine,
-        mask: &SparsityMask,
-        cfg: VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<PlannedLinear, PlanError> {
-        let pruned = mask.apply_half(self.weight());
-        let key = PlanKey::for_weight(Self::cache_descriptor(engine, &pruned, strategy), &pruned)
-            .with_salt(strategy_salt(strategy, cfg));
-        let plan = cache.try_get_or_plan(key, || {
-            Self::plan_pruned(engine, &pruned, mask, cfg, strategy)
-        })?;
+        let desc = engine.descriptor(pruned.rows(), pruned.cols());
+        let plan: Arc<dyn MatmulPlan> = match strategy {
+            PlanStrategy::Vnm => {
+                Arc::new(engine.plan_spmm(&VnmMatrix::compress(&pruned, mask, cfg)))
+            }
+            // The prune pattern is known here — seed the V:N:M candidate
+            // with it so patterns outside the engine's re-detection grid
+            // still compete.
+            PlanStrategy::Auto => engine.plan_auto_hinted(&desc, &pruned, Some(cfg)),
+            PlanStrategy::Band => engine.plan_band(&desc, &pruned, Some(cfg))?,
+            PlanStrategy::Format(f) => engine.plan_with_format(f, &desc, &pruned)?,
+            PlanStrategy::Quantized(calib) => {
+                let e = engine.clone().with_calibration(calib);
+                Arc::new(e.plan_quant_spmm(&VnmMatrix::compress(&pruned, mask, cfg)))
+            }
+            PlanStrategy::AutoQuantized(calib) => engine
+                .clone()
+                .with_calibration(calib)
+                .plan_auto_hinted(&desc.with_dtype(DType::I8), &pruned, Some(cfg)),
+        };
         Ok(PlannedLinear {
             plan,
             bias: self.bias.clone(),
         })
     }
-
-    /// The canonical descriptor a layer's plan is cached under: the
-    /// pruned weight's shape, in the dtype the strategy executes in.
-    /// Strategy details beyond the dtype (format pin, calibration, prune
-    /// pattern) are disambiguated by the cache key's salt, not the
-    /// descriptor.
-    fn cache_descriptor(
-        engine: &Engine,
-        pruned: &Matrix<Half>,
-        strategy: PlanStrategy,
-    ) -> venom_runtime::MatmulDescriptor {
-        let desc = engine.descriptor(pruned.rows(), pruned.cols());
-        match strategy {
-            PlanStrategy::Quantized(_) | PlanStrategy::AutoQuantized(_) => {
-                desc.with_dtype(DType::I8)
-            }
-            _ => desc,
-        }
-    }
-
-    /// Plans an already-pruned weight per `strategy` — the shared body
-    /// of the direct and cache-resolved sparsify paths.
-    fn plan_pruned(
-        engine: &Engine,
-        pruned: &Matrix<Half>,
-        mask: &SparsityMask,
-        cfg: VnmConfig,
-        strategy: PlanStrategy,
-    ) -> Result<Arc<dyn MatmulPlan>, PlanError> {
-        let plan: Arc<dyn MatmulPlan> = match strategy {
-            PlanStrategy::Vnm => {
-                Arc::new(engine.plan_spmm(&VnmMatrix::compress(pruned, mask, cfg)))
-            }
-            PlanStrategy::Auto => {
-                let desc = engine.descriptor(pruned.rows(), pruned.cols());
-                // The prune pattern is known here — seed the V:N:M
-                // candidate with it so patterns outside the engine's
-                // re-detection grid still compete.
-                engine.plan_auto_hinted(&desc, pruned, Some(cfg))
-            }
-            PlanStrategy::Band => {
-                let desc = engine.descriptor(pruned.rows(), pruned.cols());
-                engine.plan_band(&desc, pruned, Some(cfg))?
-            }
-            PlanStrategy::Format(f) => {
-                let desc = engine.descriptor(pruned.rows(), pruned.cols());
-                engine.plan_with_format(f, &desc, pruned)?
-            }
-            PlanStrategy::Quantized(calib) => {
-                let e = engine.clone().with_calibration(calib);
-                Arc::new(e.plan_quant_spmm(&VnmMatrix::compress(pruned, mask, cfg)))
-            }
-            PlanStrategy::AutoQuantized(calib) => {
-                let desc = engine
-                    .descriptor(pruned.rows(), pruned.cols())
-                    .with_dtype(DType::I8);
-                engine
-                    .clone()
-                    .with_calibration(calib)
-                    .plan_auto_hinted(&desc, pruned, Some(cfg))
-            }
-        };
-        Ok(plan)
-    }
-}
-
-/// The cache-key salt disambiguating *how* a weight is planned: the
-/// strategy discriminant (including its calibration) and the prune
-/// pattern, FNV-1a-folded — so the same weight planned as, say, forced
-/// CSR and auto never alias one cache line.
-fn strategy_salt(strategy: PlanStrategy, cfg: VnmConfig) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in format!("{strategy:?}/{cfg}").bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// A linear layer over a format-erased execution plan — the layer type
@@ -574,6 +486,21 @@ mod tests {
                 planned.format()
             );
         }
+    }
+
+    #[test]
+    fn quantized_forward_tracks_the_f16_layer() {
+        let cfg = VnmConfig::new(32, 2, 8);
+        let lin = Linear::glorot(64, 64, 3);
+        let mask = magnitude::prune_vnm(&lin.weight().to_f32(), cfg);
+        let strategy = PlanStrategy::Quantized(Calibration::AbsMax);
+        let q = lin.to_sparse_with(&engine(), &mask, cfg, strategy).unwrap();
+        assert_eq!(q.plan.descriptor().dtype, DType::I8);
+        let f16 = lin.to_sparse(&engine(), &mask, cfg);
+        let x = random::activation_matrix(16, 64, 4);
+        let rel = venom_tensor::norms::rel_frobenius_error(&q.forward(&x), &f16.forward(&x));
+        assert!(rel < 0.05, "relative error {rel}");
+        assert_eq!(q.shape(), (64, 64));
     }
 
     #[test]

@@ -13,12 +13,12 @@
 //!   survives as the bit-identical `forward_percall` baseline the serving
 //!   benchmarks compare against — expressed through the same trait, not a
 //!   hand-written twin.
-//! * [`quantized`] — the int8 layer path: [`quantized::QuantizedLinear`]
-//!   over the calibrated i32-accumulating plan, activations quantized
-//!   per call at the boundary and the dequant scale folded into the
-//!   epilogue ([`layers::PlanStrategy::Quantized`] /
-//!   [`layers::PlanStrategy::AutoQuantized`] select it during
-//!   sparsification).
+//!   The int8 layer path is a [`layers::PlannedLinear`] over the
+//!   calibrated i32-accumulating plan, selected during sparsification
+//!   by [`layers::PlanStrategy::Quantized`] /
+//!   [`layers::PlanStrategy::AutoQuantized`]: activations are quantized
+//!   per call at the boundary and the dequant scale is folded into the
+//!   epilogue.
 //! * [`attention`] — multi-head attention (the pruned MHA of Fig. 14),
 //!   including the planned masked pipeline
 //!   ([`attention::SparseAttention`] over a `venom_runtime`
@@ -37,7 +37,6 @@ pub mod attention;
 pub mod layers;
 pub mod model;
 pub mod profile;
-pub mod quantized;
 pub mod sten;
 pub mod train;
 pub mod transformer;
@@ -46,5 +45,4 @@ pub use attention::{MultiHeadAttention, SparseAttention};
 pub use layers::{ExecPath, Linear, PlanStrategy, PlannedLinear};
 pub use model::{SparseTransformerEncoder, TransformerEncoder};
 pub use profile::{profile_model, LatencyBreakdown, WeightSparsity};
-pub use quantized::QuantizedLinear;
 pub use transformer::TransformerConfig;

@@ -14,7 +14,7 @@
 
 use crate::attention::{MultiHeadAttention, SparseAttention};
 use crate::layers::{gelu, ExecPath, LayerNorm, Linear, PlanStrategy, PlannedLinear};
-use venom_runtime::{Engine, PlanCache, PlanError};
+use venom_runtime::{Engine, PlanError};
 use venom_tensor::Matrix;
 
 /// Architecture hyperparameters of a transformer.
@@ -192,38 +192,6 @@ impl SparseEncoderBlock {
             let wf = lin.weight().to_f32();
             let mask = venom_pruner::magnitude::prune_vnm(&wf, cfg);
             lin.to_sparse_with(engine, &mask, cfg, strategy)
-        };
-        Ok(SparseEncoderBlock {
-            mha,
-            planned_attn: None,
-            ff1: sparsify(&block.ff1)?,
-            ff2: sparsify(&block.ff2)?,
-            ln1: block.ln1.clone(),
-            ln2: block.ln2.clone(),
-        })
-    }
-
-    /// [`Self::from_dense_with`] with every plan resolved through a
-    /// shared [`PlanCache`]: a block whose weights are already cached
-    /// (an identical replica stack, a re-deployment of the same model)
-    /// plans nothing and simply re-arcs the cached plans.
-    ///
-    /// # Errors
-    /// Returns [`PlanError`] when a forced format cannot serve a pruned
-    /// weight.
-    pub fn from_dense_cached(
-        engine: &Engine,
-        block: &EncoderBlock,
-        cfg: venom_format::VnmConfig,
-        strategy: PlanStrategy,
-        cache: &PlanCache,
-    ) -> Result<Self, PlanError> {
-        let mut mha = block.mha.clone();
-        mha.sparsify_cached(engine, cfg, strategy, cache)?;
-        let sparsify = |lin: &Linear| -> Result<PlannedLinear, PlanError> {
-            let wf = lin.weight().to_f32();
-            let mask = venom_pruner::magnitude::prune_vnm(&wf, cfg);
-            lin.to_sparse_cached(engine, &mask, cfg, strategy, cache)
         };
         Ok(SparseEncoderBlock {
             mha,

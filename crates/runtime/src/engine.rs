@@ -4,7 +4,7 @@
 
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::{MatmulPlan, PlanError};
-use crate::plan::{BandPlan, FormatPlan};
+use crate::plan::FormatPlan;
 use crate::pricing;
 use crate::qplan::QuantSpmmPlan;
 use std::sync::Arc;
@@ -322,8 +322,8 @@ impl Engine {
                     .to_string(),
             });
         }
-        let a = self.compress_vnm_detected(weights, pattern)?;
-        Ok(Arc::new(BandPlan::build(&a, *desc, &self.dev)?))
+        let a = Arc::new(self.compress_vnm_detected(weights, pattern)?);
+        Ok(Arc::new(FormatPlan::band(a, *desc, &self.dev)?))
     }
 
     /// Plans the int8-quantized V:N:M container over the detected (or
@@ -354,7 +354,7 @@ impl Engine {
     /// so a weight that is not sparse enough to pay off simply plans
     /// dense — the FlashSparse-style per-shape layout choice. V:N:M
     /// weights field *two* candidates: the Spatha `mma.sp` stream and
-    /// the bandwidth-optimized band replay ([`BandPlan`]) — both priced
+    /// the bandwidth-optimized band replay ([`Self::plan_band`]) — both priced
     /// in DRAM bytes, so memory-bound shapes (small `b_cols`,
     /// tall-skinny weights) route to the non-mma path at the device's
     /// ridge point.
@@ -496,7 +496,7 @@ impl Engine {
                         // over the same compression: its DRAM-byte pricing
                         // undercuts the mma stream left of the ridge point,
                         // so routing flips there — no hard-coded threshold.
-                        if let Ok(band) = BandPlan::build(&a, f16_desc, &self.dev) {
+                        if let Ok(band) = FormatPlan::band(Arc::clone(&a), f16_desc, &self.dev) {
                             out.push(Arc::new(band));
                         }
                     }

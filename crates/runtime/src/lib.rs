@@ -17,20 +17,21 @@
 //!   so a model mixes formats per layer and callers never name one.
 //!   [`Engine::plan_with_format`] pins a format explicitly and reports
 //!   *why* when the weights cannot serve it.
-//! * There is one plan type per condensed stream. [`FormatPlan`] holds
-//!   any format's weight behind an `Arc` with its f32-staged operands
+//! * There are two plan types. [`FormatPlan`] is the one f16-weight
+//!   plan: it holds any format's weight behind an `Arc` with its operands
 //!   condensed into a per-row `(value, B-row)` stream in the kernel's
 //!   exact accumulation order, and the priced launch — for V:N:M
 //!   ([`Engine::plan_spmm`]) also the autotuned [`TileConfig`] for the
 //!   `(weight, b_cols)` shape; dense weights are priced on the cuBLAS
-//!   model. [`BandPlan`] is the bandwidth-optimized non-mma V:N:M variant
-//!   (FlashSparse-style swapped-operand replay, priced on DRAM bytes)
-//!   that [`Engine::plan_auto`] routes memory-bound shapes to; and
-//!   [`QuantSpmmPlan`] is the int8 sibling — descriptors with
-//!   [`descriptor::DType::I8`] plan the calibrated quantized V:N:M
-//!   container, execute with exact i32 accumulation, and are priced on
-//!   the `Uint8` `mma.sp` profile (half the operand bytes, half the
-//!   instruction count).
+//!   model. Its stream stages f32 values for the mma path, or keeps f16
+//!   values for the bandwidth-optimized non-mma V:N:M band path
+//!   ([`Engine::plan_band`]: FlashSparse-style swapped-operand replay,
+//!   priced on DRAM bytes) that [`Engine::plan_auto`] routes
+//!   memory-bound shapes to. [`QuantSpmmPlan`] is the int8 sibling —
+//!   descriptors with [`descriptor::DType::I8`] plan the calibrated
+//!   quantized V:N:M container, execute with exact i32 accumulation,
+//!   and are priced on the `Uint8` `mma.sp` profile (half the operand
+//!   bytes, half the instruction count).
 //!
 //! Every plan execution is **bit-identical** to the one-shot path it
 //! amortises: the stream stores each row's nonzeros in the same order the
@@ -60,7 +61,7 @@ pub use attn::{AttentionMask, AttentionPlan, SddmmPath};
 pub use descriptor::{DType, MatmulDescriptor};
 pub use engine::Engine;
 pub use matmul::{MatmulPlan, PlanError};
-pub use plan::{BandPlan, FormatPlan};
+pub use plan::FormatPlan;
 pub use qplan::QuantSpmmPlan;
 pub use serve::{
     CacheStats, FaultConfig, FaultPlan, FaultTrips, HealthReport, PlanBuildError, PlanCache,

@@ -3,13 +3,12 @@
 //!
 //! A [`MatmulPlan`] is the execute half of the cuSPARSELt-style
 //! descriptor/plan split: built once by the [`crate::Engine`] for one
-//! [`MatmulDescriptor`], replayed on every request. There is one plan
-//! type per condensed stream — [`crate::FormatPlan`] (every storage
-//! format: V:N:M on the Spatha kernel, dense, N:M, CSR, CVSE,
-//! Blocked-ELL), [`crate::BandPlan`] (the narrow non-mma V:N:M stream)
-//! and [`crate::QuantSpmmPlan`] (the int8 stream) — plus the serving
-//! layer's fault-injecting wrapper, so layers, models and the CLI hold
-//! `Arc<dyn MatmulPlan>` and mix formats per weight.
+//! [`MatmulDescriptor`], replayed on every request. There are two plan
+//! types — [`crate::FormatPlan`] (every f16 weight: V:N:M on the Spatha
+//! kernel or the narrow non-mma band path, dense, N:M, CSR, CVSE,
+//! Blocked-ELL) and [`crate::QuantSpmmPlan`] (the int8 stream) — plus
+//! the serving layer's fault-injecting wrapper, so layers, models and
+//! the CLI hold `Arc<dyn MatmulPlan>` and mix formats per weight.
 //!
 //! Every plan carries two execution paths with one bitwise contract:
 //!

@@ -1,7 +1,7 @@
-//! Execution plans: the condensed instruction streams and their run paths.
+//! Execution plans: the condensed instruction stream and its run paths.
 //!
 //! A plan's stream stores, for every output row, the row's nonzero
-//! operands as `(f32 value, source B row)` pairs in the exact order the
+//! operands as `(value, source B row)` pairs in the exact order the
 //! format's one-shot path accumulates them — ascending `(K group, slot)`
 //! for the V:N:M kernel, ascending `k` for the dense GEMM, stored order
 //! for CSR/CVSE/Blocked-ELL — with explicit zeros dropped exactly where
@@ -11,13 +11,16 @@
 //! while touching each operand once, at full output width, instead of
 //! through per-call staging rebuilt on every dispatch.
 //!
-//! Two plan types share the execution surface (`StreamExec`) and
-//! implement the format-erased [`MatmulPlan`] trait: [`FormatPlan`]
-//! (any [`SparseKernel`] — V:N:M autotuned and priced on the Spatha cost
-//! model, dense on the cuBLAS model, the baselines on their format's
-//! model) and [`BandPlan`] (the bandwidth-optimized non-mma V:N:M path:
-//! a narrow f16-bits/u16-index stream executed with the FlashSparse-style
-//! register-panel accumulator, priced on the CUDA-core roofline).
+//! [`FormatPlan`] is the one f16-weight plan over that stream, and it
+//! implements the format-erased [`MatmulPlan`] trait for any
+//! [`SparseKernel`]: V:N:M autotuned and priced on the Spatha cost model,
+//! dense on the cuBLAS model, the baselines on their format's model. The
+//! stream has two operand encodings. The f32 encoding (f32 values, u32
+//! sources) replays with a quad-unrolled loop standing in for the
+//! `mma.sp` pipeline. The f16 encoding (f16 bit patterns, u16 sources)
+//! is the bandwidth-optimized non-mma V:N:M "band" path: a
+//! FlashSparse-style register-panel replay priced on the CUDA-core
+//! roofline.
 
 use crate::arena;
 use crate::descriptor::MatmulDescriptor;
@@ -35,46 +38,254 @@ use venom_tensor::Matrix;
 
 /// Row height of one parallel task; matches `gemm_parallel`'s banding so
 /// task granularity is comparable across the dense and sparse paths.
-const BAND_ROWS: usize = 16;
+pub(crate) const BAND_ROWS: usize = 16;
 
-/// The shared execution surface over a condensed operand stream.
-///
-/// Any backing store that can replay `C = A * B` into a zero-initialised
-/// f32 buffer ([`Self::run_into`]) inherits the staged, batched and
-/// fused-linear dispatch paths — [`Stream`] (the f32 quad-unrolled
-/// replay) and `BandStream` (the narrow bandwidth-optimized replay)
-/// both execute through these defaults, so the plan types differ only in
-/// their inner loop and pricing, never in staging behaviour.
-pub(crate) trait StreamExec {
-    /// Output rows.
-    fn rows(&self) -> usize;
+/// Buckets the operands `visit` emits as `(row, value, source)` — rows
+/// possibly interleaved, as band-major formats emit them — into a
+/// per-row stream `(row_ptr, vals, srcs)`. Each row keeps its emission
+/// order, which the [`SparseKernel::for_each_operand`] contract pins to
+/// the format's `spmm_ref` accumulation order. `visit` runs twice: a
+/// counting pass, then (after a prefix sum) a filling pass.
+pub(crate) fn condense<V: Copy + Default, S: Copy + Default>(
+    rows: usize,
+    mut visit: impl FnMut(&mut dyn FnMut(usize, V, S)),
+) -> (Vec<u32>, Vec<V>, Vec<S>) {
+    let mut row_ptr = vec![0u32; rows + 1];
+    visit(&mut |r, _, _| row_ptr[r + 1] += 1);
+    for i in 0..rows {
+        row_ptr[i + 1] += row_ptr[i];
+    }
+    let nnz = row_ptr[rows] as usize;
+    let mut vals = vec![V::default(); nnz];
+    let mut srcs = vec![S::default(); nnz];
+    let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
+    visit(&mut |r, v, s| {
+        let i = cursor[r] as usize;
+        vals[i] = v;
+        srcs[i] = s;
+        cursor[r] += 1;
+    });
+    (row_ptr, vals, srcs)
+}
 
-    /// Reduction depth K.
-    fn k(&self) -> usize;
+/// The tiled transpose+bias epilogue: `y[t][r] = at(r, i) + bias[r]`
+/// with `i = r * tokens + t` indexing the `rows x tokens` product. 32x32
+/// blocks keep both the strided reads of the product and the writes to
+/// `y` inside the cache (a row-by-row transpose touches a fresh cache
+/// line per element).
+pub(crate) fn transpose_bias(
+    rows: usize,
+    tokens: usize,
+    bias: &[f32],
+    at: impl Fn(usize, usize) -> f32,
+) -> Vec<f32> {
+    const TILE: usize = 32;
+    let mut y = vec![0.0f32; tokens * rows];
+    for t0 in (0..tokens).step_by(TILE) {
+        let t1 = (t0 + TILE).min(tokens);
+        for r0 in (0..rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(rows);
+            for t in t0..t1 {
+                let yrow = &mut y[t * rows..][r0..r1];
+                for (r, o) in (r0..r1).zip(yrow.iter_mut()) {
+                    *o = at(r, r * tokens + t) + bias[r];
+                }
+            }
+        }
+    }
+    y
+}
+
+/// The operand planes of a [`Stream`], in one of two encodings.
+#[derive(Clone, Debug)]
+enum Operands {
+    /// Staged f32 values with u32 sources (8 bytes per operand).
+    F32 { vals: Vec<f32>, srcs: Vec<u32> },
+    /// f16 *bit patterns* with u16 sources (4 bytes per operand; `K`
+    /// must fit in 16 bits) — the band path's narrow encoding.
+    F16 { vals: Vec<u16>, srcs: Vec<u16> },
+}
+
+/// The condensed stream: CSR-like, with `srcs[i]` naming the RHS row
+/// each value multiplies.
+#[derive(Clone, Debug)]
+pub(crate) struct Stream {
+    rows: usize,
+    k: usize,
+    row_ptr: Vec<u32>,
+    ops: Operands,
+}
+
+impl Stream {
+    /// Condenses any [`SparseKernel`] into its f32 accumulation-order
+    /// stream.
+    fn from_kernel(kernel: &dyn SparseKernel) -> Self {
+        let (rows, k) = kernel.shape();
+        let (row_ptr, vals, srcs) = condense(rows, |emit| {
+            kernel.for_each_operand(&mut |r, v, s| emit(r, v, s as u32))
+        });
+        Stream {
+            rows,
+            k,
+            row_ptr,
+            ops: Operands::F32 { vals, srcs },
+        }
+    }
+
+    /// Condenses a V:N:M weight into the narrow f16 stream, or `None`
+    /// when `K` exceeds the 16-bit source-index range.
+    fn band(a: &VnmMatrix) -> Option<Self> {
+        let (rows, k) = a.shape();
+        if k > u16::MAX as usize + 1 {
+            return None;
+        }
+        let (row_ptr, vals, srcs) = condense(rows, |emit| {
+            a.for_each_nonzero(|r, s, v| emit(r, v.to_bits(), s as u16))
+        });
+        Some(Stream {
+            rows,
+            k,
+            row_ptr,
+            ops: Operands::F16 { vals, srcs },
+        })
+    }
+
+    /// Whether the stream holds the band path's f16 encoding.
+    fn is_band(&self) -> bool {
+        matches!(self.ops, Operands::F16 { .. })
+    }
+
+    /// Stored operand count.
+    fn nnz(&self) -> usize {
+        match &self.ops {
+            Operands::F32 { vals, .. } => vals.len(),
+            Operands::F16 { vals, .. } => vals.len(),
+        }
+    }
 
     /// Kernel label phase profiling records this stream under (see
     /// [`venom_obs::profile`]).
-    fn profile_kernel(&self) -> &'static str;
+    fn profile_kernel(&self) -> &'static str {
+        if self.is_band() {
+            "spmm[band]"
+        } else {
+            "spmm[mma]"
+        }
+    }
 
     /// Phase name of the inner compute loop — `"mma"` for the f32 quad
     /// replay standing in for the `mma.sp` pipeline, `"band"` for the
     /// narrow bandwidth-optimized replay.
-    fn profile_phase(&self) -> &'static str;
+    fn profile_phase(&self) -> &'static str {
+        if self.is_band() {
+            "band"
+        } else {
+            "mma"
+        }
+    }
 
     /// Resident bytes of the condensed stream — compulsory operand
     /// traffic the compute phase reads exactly once per dispatch.
-    fn stream_bytes(&self) -> u64;
+    fn stream_bytes(&self) -> u64 {
+        let per_operand = match &self.ops {
+            Operands::F32 { .. } => 8,
+            Operands::F16 { .. } => 4,
+        };
+        (self.nnz() * per_operand + self.row_ptr.len() * 4) as u64
+    }
 
     /// `C = A * B` over a staged RHS (`k x b_cols`, row-major f32) into
     /// `out` (`rows x b_cols`, zero-initialised). Output rows are
     /// disjoint across parallel bands and each element accumulates
     /// sequentially in stream order, so the result is bit-identical
     /// regardless of the worker count.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]);
+    ///
+    /// The f32 loop walks four stream entries at a time, reading and
+    /// writing the output row once per quad. The per-element sum is
+    /// evaluated left to right (`((o + v0*b0) + v1*b1) + ...`), which is
+    /// exactly the accumulation chain of one-entry-at-a-time iteration —
+    /// the unroll changes traffic, not bits.
+    ///
+    /// The f16 loop is the FlashSparse swap in register form: per output
+    /// row, an 8-wide panel of columns accumulates in registers while the
+    /// whole row's stream replays over it — each stored nonzero costs one
+    /// LUT load and one narrow contiguous `B` segment read, and the
+    /// output is written exactly once per panel. Per `(row, column)` the
+    /// sum is the same left-to-right chain from `0.0` as `spmm_ref`'s, so
+    /// the panelling changes traffic, not bits.
+    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
+        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
+        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
+        let row_ptr = &self.row_ptr;
+        match &self.ops {
+            Operands::F32 { vals, srcs } => {
+                out.par_chunks_mut(BAND_ROWS * b_cols)
+                    .enumerate()
+                    .for_each(|(band, chunk)| {
+                        let row0 = band * BAND_ROWS;
+                        for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
+                            let r = row0 + i;
+                            let lo = row_ptr[r] as usize;
+                            let hi = row_ptr[r + 1] as usize;
+                            let mut s = lo;
+                            while s + 4 <= hi {
+                                let v = &vals[s..s + 4];
+                                let b0 = &b_f32[srcs[s] as usize * b_cols..][..b_cols];
+                                let b1 = &b_f32[srcs[s + 1] as usize * b_cols..][..b_cols];
+                                let b2 = &b_f32[srcs[s + 2] as usize * b_cols..][..b_cols];
+                                let b3 = &b_f32[srcs[s + 3] as usize * b_cols..][..b_cols];
+                                for (j, o) in orow.iter_mut().enumerate() {
+                                    *o = *o
+                                        + v[0] * b0[j]
+                                        + v[1] * b1[j]
+                                        + v[2] * b2[j]
+                                        + v[3] * b3[j];
+                                }
+                                s += 4;
+                            }
+                            for (vf, src) in vals[s..hi].iter().zip(&srcs[s..hi]) {
+                                let brow = &b_f32[*src as usize * b_cols..][..b_cols];
+                                for (o, &bv) in orow.iter_mut().zip(brow) {
+                                    *o += vf * bv;
+                                }
+                            }
+                        }
+                    });
+            }
+            Operands::F16 { vals, srcs } => {
+                const PANEL: usize = venom_core::SWAP_PANEL;
+                let lut = venom_fp16::f16_to_f32_table();
+                out.par_chunks_mut(BAND_ROWS * b_cols)
+                    .enumerate()
+                    .for_each(|(band, chunk)| {
+                        let row0 = band * BAND_ROWS;
+                        for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
+                            let r = row0 + i;
+                            let lo = row_ptr[r] as usize;
+                            let hi = row_ptr[r + 1] as usize;
+                            let mut j0 = 0usize;
+                            while j0 < b_cols {
+                                let w = (b_cols - j0).min(PANEL);
+                                let mut acc = [0.0f32; PANEL];
+                                for (bits, src) in vals[lo..hi].iter().zip(&srcs[lo..hi]) {
+                                    let vf = lut[*bits as usize];
+                                    let bseg = &b_f32[*src as usize * b_cols + j0..][..w];
+                                    for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
+                                        *a += vf * bv;
+                                    }
+                                }
+                                orow[j0..j0 + w].copy_from_slice(&acc[..w]);
+                                j0 += w;
+                            }
+                        }
+                    });
+            }
+        }
+    }
 
     /// [`Self::run_into`] with an owned result matrix.
     fn run(&self, b_f32: &[f32], b_cols: usize) -> Matrix<f32> {
-        let mut out = vec![0.0f32; self.rows() * b_cols];
+        let mut out = vec![0.0f32; self.rows * b_cols];
         let timer = venom_obs::profile::PhaseTimer::start();
         self.run_into(b_f32, b_cols, &mut out);
         timer.stop(
@@ -82,12 +293,12 @@ pub(crate) trait StreamExec {
             self.profile_phase(),
             self.stream_bytes() + (out.len() * 4) as u64,
         );
-        Matrix::from_vec(self.rows(), b_cols, out)
+        Matrix::from_vec(self.rows, b_cols, out)
     }
 
     /// `C = A * B` over a half RHS, staged through the arena.
     fn run_half(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        assert_eq!(b.rows(), self.k(), "B must have K = {} rows", self.k());
+        assert_eq!(b.rows(), self.k, "B must have K = {} rows", self.k);
         let mut staged = arena::lease(b.len());
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::decode_rhs_into(b, &mut staged);
@@ -105,7 +316,7 @@ pub(crate) trait StreamExec {
         if bs.is_empty() {
             return Vec::new();
         }
-        let k = self.k();
+        let k = self.k;
         let total: usize = bs.iter().map(|b| b.cols()).sum();
         let mut staged = arena::lease(k * total);
         let timer = venom_obs::profile::PhaseTimer::start();
@@ -126,7 +337,7 @@ pub(crate) trait StreamExec {
         arena::release(staged);
 
         let mut out = Vec::with_capacity(bs.len());
-        let rows = self.rows();
+        let rows = self.rows;
         let mut col0 = 0usize;
         for b in bs {
             let cols = b.cols();
@@ -147,7 +358,7 @@ pub(crate) trait StreamExec {
     /// chain `transpose(A * x.to_half().transpose()) + bias` of the
     /// per-call layer forward, in two fused passes.
     fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(x.cols(), self.k(), "input features mismatch");
+        assert_eq!(x.cols(), self.k, "input features mismatch");
         let mut staged = arena::lease(x.len());
         let timer = venom_obs::profile::PhaseTimer::start();
         stage::stage_activations_t_into(x, &mut staged);
@@ -160,7 +371,7 @@ pub(crate) trait StreamExec {
     /// [`Self::run_linear`] over an already-staged RHS (shared by sibling
     /// plans of one layer, e.g. Q/K/V over the same activations).
     fn run_linear_staged(&self, b_f32: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        let rows = self.rows();
+        let rows = self.rows;
         assert_eq!(bias.len(), rows, "bias must match out_features");
         let mut c = arena::lease(rows * tokens);
         let timer = venom_obs::profile::PhaseTimer::start();
@@ -170,256 +381,11 @@ pub(crate) trait StreamExec {
             self.profile_phase(),
             self.stream_bytes() + (rows * tokens * 4) as u64,
         );
-        // Tiled transpose+bias epilogue: 32x32 blocks keep both the
-        // strided reads from `c` and the writes to `y` inside the cache
-        // (a row-by-row transpose touches a fresh cache line per element).
-        const TILE: usize = 32;
         let timer = venom_obs::profile::PhaseTimer::start();
-        let mut y = vec![0.0f32; tokens * rows];
-        for t0 in (0..tokens).step_by(TILE) {
-            let t1 = (t0 + TILE).min(tokens);
-            for r0 in (0..rows).step_by(TILE) {
-                let r1 = (r0 + TILE).min(rows);
-                for t in t0..t1 {
-                    let yrow = &mut y[t * rows..][r0..r1];
-                    for (r, o) in (r0..r1).zip(yrow.iter_mut()) {
-                        *o = c[r * tokens + t] + bias[r];
-                    }
-                }
-            }
-        }
+        let y = transpose_bias(rows, tokens, bias, |_, i| c[i]);
         timer.stop(self.profile_kernel(), "epilogue", (y.len() * 4) as u64);
         arena::release(c);
         Matrix::from_vec(tokens, rows, y)
-    }
-}
-
-/// The shared condensed stream: CSR-like over *staged* f32 values, with
-/// `srcs[i]` naming the RHS row each value multiplies.
-#[derive(Clone, Debug)]
-pub(crate) struct Stream {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    vals: Vec<f32>,
-    srcs: Vec<u32>,
-}
-
-impl Stream {
-    /// Condenses any [`SparseKernel`] into its accumulation-order stream.
-    ///
-    /// The kernel may emit rows interleaved (band-major formats); two
-    /// visitor passes bucket the operands per row while preserving each
-    /// row's emission order — which the trait contract pins to the
-    /// format's `spmm_ref` accumulation order.
-    fn from_kernel(kernel: &dyn SparseKernel) -> Self {
-        let (rows, k) = kernel.shape();
-        let mut row_ptr = vec![0u32; rows + 1];
-        kernel.for_each_operand(&mut |r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[rows] as usize;
-        let mut vals = vec![0.0f32; nnz];
-        let mut srcs = vec![0u32; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        kernel.for_each_operand(&mut |r, v, s| {
-            let i = cursor[r] as usize;
-            vals[i] = v;
-            srcs[i] = s as u32;
-            cursor[r] += 1;
-        });
-        Stream {
-            rows,
-            k,
-            row_ptr,
-            vals,
-            srcs,
-        }
-    }
-
-    /// Stored operand count.
-    fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-}
-
-impl StreamExec for Stream {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn profile_kernel(&self) -> &'static str {
-        "spmm[mma]"
-    }
-
-    fn profile_phase(&self) -> &'static str {
-        "mma"
-    }
-
-    fn stream_bytes(&self) -> u64 {
-        // f32 value + u32 source per operand, plus the row pointers.
-        (self.vals.len() * 4 + self.srcs.len() * 4 + self.row_ptr.len() * 4) as u64
-    }
-
-    /// The inner loop walks four stream entries at a time, reading and
-    /// writing the output row once per quad. The per-element sum is
-    /// evaluated left to right (`((o + v0*b0) + v1*b1) + ...`), which is
-    /// exactly the accumulation chain of one-entry-at-a-time iteration —
-    /// the unroll changes traffic, not bits.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
-        out.par_chunks_mut(BAND_ROWS * b_cols)
-            .enumerate()
-            .for_each(|(band, chunk)| {
-                let row0 = band * BAND_ROWS;
-                for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
-                    let r = row0 + i;
-                    let lo = self.row_ptr[r] as usize;
-                    let hi = self.row_ptr[r + 1] as usize;
-                    let mut s = lo;
-                    while s + 4 <= hi {
-                        let v = &self.vals[s..s + 4];
-                        let b0 = &b_f32[self.srcs[s] as usize * b_cols..][..b_cols];
-                        let b1 = &b_f32[self.srcs[s + 1] as usize * b_cols..][..b_cols];
-                        let b2 = &b_f32[self.srcs[s + 2] as usize * b_cols..][..b_cols];
-                        let b3 = &b_f32[self.srcs[s + 3] as usize * b_cols..][..b_cols];
-                        for (j, o) in orow.iter_mut().enumerate() {
-                            *o = *o + v[0] * b0[j] + v[1] * b1[j] + v[2] * b2[j] + v[3] * b3[j];
-                        }
-                        s += 4;
-                    }
-                    for (vf, src) in self.vals[s..hi].iter().zip(&self.srcs[s..hi]) {
-                        let brow = &b_f32[*src as usize * b_cols..][..b_cols];
-                        for (o, &bv) in orow.iter_mut().zip(brow) {
-                            *o += vf * bv;
-                        }
-                    }
-                }
-            });
-    }
-}
-
-/// The bandwidth-optimized condensed stream: f16 *bit patterns* and
-/// narrow `u16` source indices — 4 bytes per stored nonzero against the
-/// f32 stream's 8 — replayed with a register-panel accumulator instead
-/// of the read-modify-write quad loop. On shapes left of the ridge point
-/// every byte is wall time, so the narrow stream and single-touch output
-/// writes are the speedup; values decode through the exact f16→f32 LUT,
-/// keeping every accumulation chain bit-identical to `spmm_ref`.
-#[derive(Clone, Debug)]
-pub(crate) struct BandStream {
-    rows: usize,
-    k: usize,
-    row_ptr: Vec<u32>,
-    /// f16 bit patterns in `spmm_ref` accumulation order.
-    vals: Vec<u16>,
-    /// Source B row per value; `K` must fit in 16 bits.
-    srcs: Vec<u16>,
-}
-
-impl BandStream {
-    /// Condenses a V:N:M weight into the narrow stream, or `None` when
-    /// `K` exceeds the 16-bit source-index range.
-    fn from_vnm(a: &VnmMatrix) -> Option<Self> {
-        let (rows, k) = a.shape();
-        if k > u16::MAX as usize + 1 {
-            return None;
-        }
-        let mut row_ptr = vec![0u32; rows + 1];
-        a.for_each_nonzero(|r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[rows] as usize;
-        let mut vals = vec![0u16; nnz];
-        let mut srcs = vec![0u16; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        a.for_each_nonzero(|r, s, v| {
-            let i = cursor[r] as usize;
-            vals[i] = v.to_bits();
-            srcs[i] = s as u16;
-            cursor[r] += 1;
-        });
-        Some(BandStream {
-            rows,
-            k,
-            row_ptr,
-            vals,
-            srcs,
-        })
-    }
-
-    /// Stored operand count.
-    fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-}
-
-impl StreamExec for BandStream {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn k(&self) -> usize {
-        self.k
-    }
-
-    fn profile_kernel(&self) -> &'static str {
-        "spmm[band]"
-    }
-
-    fn profile_phase(&self) -> &'static str {
-        "band"
-    }
-
-    fn stream_bytes(&self) -> u64 {
-        // f16 bits + u16 source per operand, plus the row pointers.
-        (self.vals.len() * 2 + self.srcs.len() * 2 + self.row_ptr.len() * 4) as u64
-    }
-
-    /// The inner loop is the FlashSparse swap in register form: per
-    /// output row, an 8-wide panel of columns accumulates in registers
-    /// while the whole row's stream replays over it — each stored
-    /// nonzero costs one LUT load and one narrow contiguous `B` segment
-    /// read, and the output is written exactly once per panel. Per
-    /// `(row, column)` the sum is the same left-to-right chain from
-    /// `0.0` as `spmm_ref`'s, so the panelling changes traffic, not
-    /// bits.
-    fn run_into(&self, b_f32: &[f32], b_cols: usize, out: &mut [f32]) {
-        assert_eq!(b_f32.len(), self.k * b_cols, "staged RHS size mismatch");
-        assert_eq!(out.len(), self.rows * b_cols, "output size mismatch");
-        const PANEL: usize = venom_core::SWAP_PANEL;
-        let lut = venom_fp16::f16_to_f32_table();
-        out.par_chunks_mut(BAND_ROWS * b_cols)
-            .enumerate()
-            .for_each(|(band, chunk)| {
-                let row0 = band * BAND_ROWS;
-                for (i, orow) in chunk.chunks_mut(b_cols).enumerate() {
-                    let r = row0 + i;
-                    let lo = self.row_ptr[r] as usize;
-                    let hi = self.row_ptr[r + 1] as usize;
-                    let mut j0 = 0usize;
-                    while j0 < b_cols {
-                        let w = (b_cols - j0).min(PANEL);
-                        let mut acc = [0.0f32; PANEL];
-                        for (bits, src) in self.vals[lo..hi].iter().zip(&self.srcs[lo..hi]) {
-                            let vf = lut[*bits as usize];
-                            let bseg = &b_f32[*src as usize * b_cols + j0..][..w];
-                            for (a, &bv) in acc[..w].iter_mut().zip(bseg) {
-                                *a += vf * bv;
-                            }
-                        }
-                        orow[j0..j0 + w].copy_from_slice(&acc[..w]);
-                        j0 += w;
-                    }
-                }
-            });
     }
 }
 
@@ -438,8 +404,13 @@ struct SpathaLaunch {
 /// Every storage format executes through it: V:N:M (autotuned and priced
 /// on the Spatha cost model), dense (priced on the cuBLAS model), and
 /// N:M, CSR, CVSE and Blocked-ELL (priced by their format's baseline
-/// model). The weight is held once, behind the `Arc`; the condensed
-/// stream replays it.
+/// model). A V:N:M weight can instead be planned on the band path: the
+/// narrow f16 stream, priced on the CUDA-core DRAM roofline
+/// ([`venom_core::build_counts_band`]), so on memory-bound shapes (small
+/// output widths, tall-skinny weights) its modelled cost undercuts the
+/// mma stream and [`crate::Engine::plan_auto`] routes to it at the ridge
+/// point. The weight is held once, behind the `Arc`; the condensed stream
+/// replays it.
 #[derive(Clone, Debug)]
 pub struct FormatPlan {
     kernel: Arc<dyn SparseKernel>,
@@ -447,7 +418,7 @@ pub struct FormatPlan {
     desc: MatmulDescriptor,
     /// `None` unless the weight is V:N:M with a launchable tile (V a
     /// multiple of 16; the stream executes any V, only the GPU pricing
-    /// needs the kernel's 16-row fragments).
+    /// needs the kernel's 16-row fragments) on the mma path.
     launch: Option<SpathaLaunch>,
     timing: Option<KernelTiming>,
     counts: Option<KernelCounts>,
@@ -521,6 +492,42 @@ impl FormatPlan {
         plan
     }
 
+    /// Plans a V:N:M weight on the band path: the narrow f16 stream,
+    /// priced on the CUDA-core DRAM roofline. Prefer
+    /// [`crate::Engine::plan_band`] (or [`crate::Engine::plan_auto`],
+    /// which considers it as a candidate).
+    ///
+    /// # Errors
+    /// [`PlanError::Incompatible`] when `K` does not fit the stream's
+    /// 16-bit source indices.
+    pub(crate) fn band(
+        a: Arc<VnmMatrix>,
+        desc: MatmulDescriptor,
+        dev: &DeviceConfig,
+    ) -> Result<Self, PlanError> {
+        assert_eq!(
+            a.shape(),
+            (desc.out_features, desc.in_features),
+            "weight shape does not match the descriptor"
+        );
+        let (r, k) = a.shape();
+        let stream = Stream::band(&a).ok_or_else(|| PlanError::Incompatible {
+            format: MatmulFormat::Vnm,
+            reason: format!("the band stream stores 16-bit source indices; K = {k} does not fit"),
+        })?;
+        let counts = venom_core::build_counts_band(r, k, desc.b_cols, stream.nnz());
+        let timing = venom_sim::pipeline::simulate(dev, &counts)
+            .expect("the band kernel uses no shared memory and always launches");
+        Ok(FormatPlan {
+            kernel: a,
+            stream,
+            desc,
+            launch: None,
+            timing: Some(timing),
+            counts: Some(counts),
+        })
+    }
+
     /// The weight as its concrete container (`VnmMatrix`,
     /// `Matrix<Half>`, ...), or `None` when it is stored in another one.
     pub fn weight<T: SparseKernel>(&self) -> Option<&T> {
@@ -533,9 +540,9 @@ impl FormatPlan {
         self.kernel.shape()
     }
 
-    /// The autotuned template instantiation of a V:N:M plan (`None` for
-    /// V < 16 patterns, which only the functional stream supports, and
-    /// for every other format).
+    /// The autotuned template instantiation of a V:N:M plan on the mma
+    /// path (`None` for V < 16 patterns, which only the functional stream
+    /// supports, for band plans, and for every other format).
     pub fn tile(&self) -> Option<TileConfig> {
         self.launch.as_ref().map(|l| l.tile)
     }
@@ -544,6 +551,14 @@ impl FormatPlan {
 impl MatmulPlan for FormatPlan {
     fn format(&self) -> MatmulFormat {
         self.kernel.format()
+    }
+
+    fn path(&self) -> &'static str {
+        if self.stream.is_band() {
+            "band"
+        } else {
+            self.format().name()
+        }
     }
 
     fn descriptor(&self) -> &MatmulDescriptor {
@@ -596,152 +611,13 @@ impl MatmulPlan for FormatPlan {
             // The full Spatha entry point: tile selection, pricing and
             // staging redone on every dispatch.
             (Some(l), Some(a)) => venom_core::spmm(a, b, &l.opts, &l.dev).c,
+            // The per-call swapped-operand kernel: B decoded in one pass,
+            // product accumulated transposed, transposed back by a move.
+            (None, Some(a)) if self.stream.is_band() => venom_core::spmm_swapped(a, b),
             // The format's own per-call staged path (bit-identical to its
             // spmm_ref, re-staging B on every dispatch).
             _ => self.kernel.spmm_parallel(b),
         }
-    }
-}
-
-/// The bandwidth-optimized non-mma plan for a V:N:M weight.
-///
-/// Executes the same compressed operand as a V:N:M [`FormatPlan`] but
-/// through the narrow `BandStream` replay, and is priced on the CUDA-core
-/// DRAM roofline ([`venom_core::build_counts_band`]) instead of the Spatha
-/// `mma.sp` pipeline — so on memory-bound shapes (small output widths,
-/// tall-skinny weights) its modelled cost undercuts the mma stream and
-/// [`crate::Engine::plan_auto`] routes to it at the ridge point. Results
-/// stay bit-identical to `spmm_ref` on every dispatch path.
-#[derive(Clone, Debug)]
-pub struct BandPlan {
-    weight: VnmMatrix,
-    stream: BandStream,
-    desc: MatmulDescriptor,
-    timing: KernelTiming,
-    counts: KernelCounts,
-}
-
-impl BandPlan {
-    /// Builds the band plan; prefer [`crate::Engine::plan_band`] (or
-    /// [`crate::Engine::plan_auto`], which considers it as a candidate).
-    ///
-    /// # Errors
-    /// [`PlanError::Incompatible`] when `K` does not fit the stream's
-    /// 16-bit source indices.
-    pub(crate) fn build(
-        a: &VnmMatrix,
-        desc: MatmulDescriptor,
-        dev: &DeviceConfig,
-    ) -> Result<Self, PlanError> {
-        assert_eq!(
-            a.shape(),
-            (desc.out_features, desc.in_features),
-            "weight shape does not match the descriptor"
-        );
-        let stream = BandStream::from_vnm(a).ok_or_else(|| PlanError::Incompatible {
-            format: MatmulFormat::Vnm,
-            reason: format!(
-                "the band stream stores 16-bit source indices; K = {} does not fit",
-                a.shape().1
-            ),
-        })?;
-        let (r, k) = a.shape();
-        let counts = venom_core::build_counts_band(r, k, desc.b_cols, stream.nnz());
-        let timing = venom_sim::pipeline::simulate(dev, &counts)
-            .expect("the band kernel uses no shared memory and always launches");
-        Ok(BandPlan {
-            weight: a.clone(),
-            stream,
-            desc,
-            timing,
-            counts,
-        })
-    }
-
-    /// The compressed weight the plan executes.
-    pub fn weight(&self) -> &VnmMatrix {
-        &self.weight
-    }
-
-    /// Logical weight shape `(rows, k)`.
-    pub fn shape(&self) -> (usize, usize) {
-        self.weight.shape()
-    }
-
-    /// Stored nonzeros in the narrow stream.
-    pub fn nnz(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    /// Simulated timing of one dispatch at the planned bound.
-    pub fn timing(&self) -> &KernelTiming {
-        &self.timing
-    }
-
-    /// Priced resource counts at the planned bound.
-    pub fn counts(&self) -> &KernelCounts {
-        &self.counts
-    }
-}
-
-impl MatmulPlan for BandPlan {
-    fn format(&self) -> MatmulFormat {
-        MatmulFormat::Vnm
-    }
-
-    fn path(&self) -> &'static str {
-        "band"
-    }
-
-    fn descriptor(&self) -> &MatmulDescriptor {
-        &self.desc
-    }
-
-    fn timing(&self) -> Option<&KernelTiming> {
-        Some(&self.timing)
-    }
-
-    fn counts(&self) -> Option<&KernelCounts> {
-        Some(&self.counts)
-    }
-
-    fn stored_values(&self) -> usize {
-        self.stream.nnz()
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.stream.stream_bytes() as usize + self.weight.compressed_bytes()
-    }
-
-    fn weight_dense(&self) -> Matrix<Half> {
-        self.weight.decompress()
-    }
-
-    fn run(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        self.stream.run_half(b)
-    }
-
-    fn run_batch(&self, bs: &[&Matrix<Half>]) -> Vec<Matrix<f32>> {
-        self.stream.run_batch(bs)
-    }
-
-    fn run_linear(&self, x: &Matrix<f32>, bias: &[f32]) -> Matrix<f32> {
-        self.stream.run_linear(x, bias)
-    }
-
-    fn run_linear_staged(&self, staged: &[f32], tokens: usize, bias: &[f32]) -> Matrix<f32> {
-        assert_eq!(
-            staged.len(),
-            self.stream.k * tokens,
-            "staged operand size mismatch"
-        );
-        self.stream.run_linear_staged(staged, tokens, bias)
-    }
-
-    fn run_oneshot(&self, b: &Matrix<Half>) -> Matrix<f32> {
-        // The per-call swapped-operand kernel: B decoded in one pass,
-        // product accumulated transposed, transposed back by a move.
-        venom_core::spmm_swapped(&self.weight, b)
     }
 }
 
@@ -946,9 +822,9 @@ mod tests {
         let _ = plan.run(&Matrix::<Half>::zeros(16, 4));
     }
 
-    fn band_build(a: &VnmMatrix, b_cols: usize) -> BandPlan {
+    fn band_build(a: &VnmMatrix, b_cols: usize) -> FormatPlan {
         let desc = MatmulDescriptor::new(a.shape().0, a.shape().1).with_b_cols(b_cols);
-        BandPlan::build(a, desc, &dev()).expect("K fits 16-bit indices")
+        FormatPlan::band(Arc::new(a.clone()), desc, &dev()).expect("K fits 16-bit indices")
     }
 
     #[test]
@@ -971,8 +847,12 @@ mod tests {
     #[test]
     fn band_plan_batch_and_linear_match_the_stream_plan() {
         let cfg = VnmConfig::new(32, 2, 8);
-        let a = vnm_fixture(64, 64, cfg, 23);
-        let band = band_build(&a, 16);
+        let a = Arc::new(vnm_fixture(64, 64, cfg, 23));
+        let desc = MatmulDescriptor::new(64, 64).with_b_cols(16);
+        let band = FormatPlan::band(Arc::clone(&a), desc, &dev()).unwrap();
+        // The plan shares the caller's weight instead of copying it.
+        let held = band.weight::<VnmMatrix>().expect("band plans hold V:N:M");
+        assert!(std::ptr::eq(held, Arc::as_ptr(&a)));
         let mma = build(&a, 16);
         let b1 = random::normal_matrix(64, 5, 0.0, 1.0, 24).to_half();
         let b2 = random::normal_matrix(64, 19, 0.0, 1.0, 25).to_half();
@@ -985,6 +865,11 @@ mod tests {
         assert_eq!(
             band.run_linear(&x, &bias),
             MatmulPlan::run_linear_percall(&band, &x, &bias)
+        );
+        let staged = stage::stage_activations_t(&x);
+        assert_eq!(
+            band.run_linear_staged(&staged, x.rows(), &bias),
+            band.run_linear(&x, &bias)
         );
     }
 
@@ -1014,7 +899,7 @@ mod tests {
         let mask = venom_format::SparsityMask::from_fn(16, k, |_, c| c % 8 < 2);
         let a = VnmMatrix::compress(&w, &mask, cfg);
         let desc = MatmulDescriptor::new(16, k).with_b_cols(8);
-        let err = BandPlan::build(&a, desc, &dev()).unwrap_err();
+        let err = FormatPlan::band(Arc::new(a), desc, &dev()).unwrap_err();
         assert!(
             err.to_string().contains("16-bit source indices"),
             "got: {err}"

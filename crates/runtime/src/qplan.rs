@@ -3,10 +3,11 @@
 //!
 //! A [`QuantSpmmPlan`] captures, at build time, the calibrated
 //! [`QuantVnmMatrix`] (per-output-channel symmetric scales), its operand
-//! stream condensed into a per-row `(i8 value, B row)` CSR — half the
-//! bytes of the f32 stream — and the int8-priced launch (Table 1's
-//! `Uint8` `mma.sp` row: half the operand bytes, double the k-depth per
-//! instruction).
+//! stream condensed into a per-row `(i8 code, B row)` CSR by the same
+//! bucketing helper the f16 plans use, and the int8-priced launch
+//! (Table 1's `Uint8` `mma.sp` row: half the operand bytes, double the
+//! k-depth per instruction). The fused linear path shares the f16
+//! stream's tiled transpose+bias epilogue.
 //!
 //! Numerics contract, stated precisely because it differs from the f16
 //! plans:
@@ -27,6 +28,7 @@
 
 use crate::descriptor::{DType, MatmulDescriptor};
 use crate::matmul::MatmulPlan;
+use crate::plan::{condense, transpose_bias, BAND_ROWS};
 use crate::stage;
 use rayon::prelude::*;
 use venom_core::{SpmmOptions, TileConfig};
@@ -36,9 +38,6 @@ use venom_quant::{calibrate, Calibration};
 use venom_sim::pipeline::KernelCounts;
 use venom_sim::{DeviceConfig, KernelTiming};
 use venom_tensor::Matrix;
-
-/// Row height of one parallel task (matches the f32 stream's banding).
-const BAND_ROWS: usize = 16;
 
 /// The condensed int8 stream: CSR-like over quantized values, with
 /// `srcs[i]` naming the RHS row each value multiplies.
@@ -58,24 +57,12 @@ struct IntStream {
 }
 
 impl IntStream {
-    /// Condenses the quantized container into its operand stream (two
-    /// visitor passes, like the f32 `Stream`).
+    /// Condenses the quantized container into its operand stream (the
+    /// same two-pass bucketing as the f16 plans' stream).
     fn from_quant(a: &QuantVnmMatrix) -> Self {
         let (rows, k) = a.shape();
-        let mut row_ptr = vec![0u32; rows + 1];
-        a.for_each_operand_i8(&mut |r, _, _| row_ptr[r + 1] += 1);
-        for i in 0..rows {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let nnz = row_ptr[rows] as usize;
-        let mut vals = vec![0i16; nnz];
-        let mut srcs = vec![0u32; nnz];
-        let mut cursor: Vec<u32> = row_ptr[..rows].to_vec();
-        a.for_each_operand_i8(&mut |r, q, s| {
-            let i = cursor[r] as usize;
-            vals[i] = q as i16;
-            srcs[i] = s as u32;
-            cursor[r] += 1;
+        let (row_ptr, vals, srcs) = condense(rows, |emit| {
+            a.for_each_operand_i8(&mut |r, q, s| emit(r, q as i16, s as u32))
         });
         IntStream {
             rows,
@@ -272,16 +259,6 @@ impl QuantSpmmPlan {
         self.tile
     }
 
-    /// Int8 cost-model timing of one dispatch at the planned bound.
-    pub fn timing(&self) -> Option<&KernelTiming> {
-        self.timing.as_ref()
-    }
-
-    /// Priced int8 resource counts at the planned bound.
-    pub fn counts(&self) -> Option<&KernelCounts> {
-        self.counts.as_ref()
-    }
-
     /// The per-call activation calibrator.
     pub fn activation_calibration(&self) -> Calibration {
         self.act_calib
@@ -353,7 +330,11 @@ impl MatmulPlan for QuantSpmmPlan {
     }
 
     fn timing(&self) -> Option<&KernelTiming> {
-        QuantSpmmPlan::timing(self)
+        self.timing.as_ref()
+    }
+
+    fn counts(&self) -> Option<&KernelCounts> {
+        self.counts.as_ref()
     }
 
     fn stored_values(&self) -> usize {
@@ -448,27 +429,16 @@ impl MatmulPlan for QuantSpmmPlan {
             .iter()
             .map(|&v| table[venom_fp16::f32_to_f16_bits(v) as usize] as i16)
             .collect();
-        let mut acc = vec![0i32; self.stream.rows * tokens];
+        let rows = self.stream.rows;
+        let mut acc = vec![0i32; rows * tokens];
         self.stream.run_into(&b_q, tokens, &mut acc);
         // Dequantization folded into the tiled transpose+bias epilogue:
         // y[t][r] = acc[r][t] * s_r + bias[r], the exact expression of
         // the per-call chain (`run_oneshot` dequant, transpose, bias).
-        const TILE: usize = 32;
-        let rows = self.stream.rows;
-        let mut y = vec![0.0f32; tokens * rows];
-        for t0 in (0..tokens).step_by(TILE) {
-            let t1 = (t0 + TILE).min(tokens);
-            for r0 in (0..rows).step_by(TILE) {
-                let r1 = (r0 + TILE).min(rows);
-                for t in t0..t1 {
-                    let yrow = &mut y[t * rows..][r0..r1];
-                    for (r, o) in (r0..r1).zip(yrow.iter_mut()) {
-                        *o = acc[r * tokens + t] as f32 * self.dequant_scale(r, params.scale)
-                            + bias[r];
-                    }
-                }
-            }
-        }
+        let scales: Vec<f32> = (0..rows)
+            .map(|r| self.dequant_scale(r, params.scale))
+            .collect();
+        let y = transpose_bias(rows, tokens, bias, |r, i| acc[i] as f32 * scales[r]);
         Matrix::from_vec(tokens, rows, y)
     }
 
@@ -566,6 +536,16 @@ mod tests {
         );
         let t16 = f16.timing().expect("priced").time_ms;
         assert!(t8 > 0.0 && t8 < t16, "i8 {t8} !< f16 {t16}");
+    }
+
+    #[test]
+    fn launchable_plan_reports_its_roofline() {
+        let a = vnm_fixture(128, 256, VnmConfig::new(64, 2, 8), 13);
+        let plan = build(&a, 64);
+        let counts = MatmulPlan::counts(&plan).expect("launchable V is priced");
+        let want = venom_sim::roofline::analyze(&dev(), counts);
+        assert_eq!(MatmulPlan::regime(&plan, &dev()), Some(want.regime()));
+        assert_eq!(MatmulPlan::roofline(&plan, &dev()), Some(want));
     }
 
     #[test]
